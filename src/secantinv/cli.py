@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,17 +29,7 @@ from .cohomology import (
     sym_secant_table,
     wedge_secant_table,
 )
-from .errors import (
-    AmbiguousBundle,
-    DomainError,
-    DuplicateNode,
-    GeneratorDegreeUnknown,
-    InternalCheckError,
-    NonvanishingTail,
-    InternalMismatch,
-    StratumOutOfRange,
-    UsageError,
-)
+from .errors import DomainError, SecantInvError, UsageError
 from .exactmath import QPolynomial, format_rational
 from .secant_core import (
     HilbertSeries,
@@ -53,24 +44,6 @@ from .secant_core import (
 from .tangent_geometry import cone_over_secant, tangent_cone_at
 
 FORMATS = ("text", "json", "csv", "latex")
-
-_ERROR_CODES = {
-    DomainError: "domain",
-    StratumOutOfRange: "stratum",
-    AmbiguousBundle: "ambiguous-bundle",
-    GeneratorDegreeUnknown: "generator-degree-unknown",
-    DuplicateNode: "duplicate-node",
-    NonvanishingTail: "nonvanishing-tail",
-    InternalMismatch: "internal-mismatch",
-}
-
-
-def _error_code(exc: Exception) -> str:
-    for klass, code in _ERROR_CODES.items():
-        if isinstance(exc, klass):
-            return code
-    return "internal" if isinstance(exc, InternalCheckError) else "usage"
-
 
 def latex_rational(value: Fraction) -> str:
     if value.denominator == 1:
@@ -99,24 +72,42 @@ def latex_polynomial(poly: QPolynomial) -> str:
     return " ".join(parts)
 
 
+_LATEX_ESCAPES = str.maketrans(
+    {c: "\\" + c for c in "&%$#_{}"}
+    | {"\\": "\\textbackslash{}", "~": "\\textasciitilde{}", "^": "\\textasciicircum{}"}
+)
+
+
+def _tabular(columns: str, head: Sequence[str], rows) -> str:
+    """A LaTeX tabular with column spec ``columns``, an optional header row
+    ``head`` (raw LaTeX) and body ``rows``, whose cells are escaped."""
+    lines = [f"\\begin{{tabular}}{{{columns}}}"]
+    if head:
+        lines.append(" & ".join(head) + " \\\\")
+    for row in rows:
+        lines.append(" & ".join(str(cell).translate(_LATEX_ESCAPES) for cell in row) + " \\\\")
+    lines.append("\\end{tabular}")
+    return "\n".join(lines)
+
+
 @dataclass(frozen=True)
 class Document:
-    """A fully rendered result: one payload per output format."""
+    """A fully rendered result: one payload per output format, the lines
+    ``run`` writes to stderr beside it, and the exit code it returns."""
 
     json_payload: dict
-    csv_header: tuple[str, ...]
-    csv_body: tuple[tuple[str, ...], ...]
+    csv_rows: tuple[tuple[str, ...], ...]  # the header row first
     text_body: str
     latex_body: str
+    notes: tuple[str, ...] = ()
+    exit_code: int = 0
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
             return json.dumps(self.json_payload, indent=2, sort_keys=True) + "\n"
         if fmt == "csv":
             buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(self.csv_header)
-            writer.writerows(self.csv_body)
+            csv.writer(buffer, lineterminator="\n").writerows(self.csv_rows)
             return buffer.getvalue()
         if fmt == "latex":
             return self.latex_body + "\n"
@@ -127,8 +118,7 @@ def _scalar_document(value: int) -> Document:
     text = str(value)
     return Document(
         json_payload={"value": text},
-        csv_header=("key", "value"),
-        csv_body=(("value", text),),
+        csv_rows=(("key", "value"), ("value", text)),
         text_body=text,
         latex_body=text,
     )
@@ -137,11 +127,9 @@ def _scalar_document(value: int) -> Document:
 def _polynomial_document(poly: QPolynomial) -> Document:
     return Document(
         json_payload={"coefficients": poly.to_strings()},
-        csv_header=("power", "coefficient"),
-        csv_body=tuple(
-            (str(power), format_rational(c))
-            for power, c in enumerate(poly.coefficients)
-        ),
+        csv_rows=(("power", "coefficient"), *(
+            (str(power), format_rational(c)) for power, c in enumerate(poly.coefficients)
+        )),
         text_body=str(poly),
         latex_body=latex_polynomial(poly),
     )
@@ -155,8 +143,7 @@ def _series_document(series: HilbertSeries) -> Document:
     rows.append(("krull_dim", str(series.krull_dim)))
     return Document(
         json_payload=series.to_json_dict(),
-        csv_header=("key", "value"),
-        csv_body=tuple(rows),
+        csv_rows=(("key", "value"), *rows),
         text_body=(
             f"numerator = {series.numerator}\nkrull_dim = {series.krull_dim}"
         ),
@@ -169,25 +156,16 @@ def _series_document(series: HilbertSeries) -> Document:
 
 def _table_document(table: CohomologyTable) -> Document:
     rows = table.csv_rows()
-    text_lines = [f"family {table.family}"] + [
-        f"{key} = {value}" for key, value in table.params
-    ]
+    shown = [(i, twist or "-", dim) for i, twist, dim in rows]
+    text_lines = [f"family {table.family}"]
+    text_lines += [f"{key} = {value}" for key, value in table.params]
     text_lines.append("i  l  dim")
-    for i, twist, dim in rows:
-        text_lines.append(f"{i:<2} {twist or '-':<2} {dim}")
-    latex_lines = [
-        "\\begin{tabular}{rrr}",
-        "i & \\ell & h^i \\\\",
-    ]
-    for i, twist, dim in rows:
-        latex_lines.append(f"{i} & {twist or '-'} & {dim} \\\\")
-    latex_lines.append("\\end{tabular}")
+    text_lines += [f"{i:<2} {twist:<2} {dim}" for i, twist, dim in shown]
     return Document(
         json_payload=table.to_json_dict(),
-        csv_header=("i", "l", "dim"),
-        csv_body=tuple(rows),
+        csv_rows=(("i", "l", "dim"), *rows),
         text_body="\n".join(text_lines),
-        latex_body="\n".join(latex_lines),
+        latex_body=_tabular("rrr", ("i", "\\ell", "h^i"), shown),
     )
 
 
@@ -209,18 +187,11 @@ def _flatten_json(prefix: str, value, out: list[tuple[str, str]]) -> None:
 def _record_document(payload: dict) -> Document:
     flat: list[tuple[str, str]] = []
     _flatten_json("", payload, flat)
-    text = "\n".join(f"{key} = {value}" for key, value in flat)
-    latex_lines = ["\\begin{tabular}{ll}"]
-    for key, value in flat:
-        escaped = key.replace("_", "\\_")
-        latex_lines.append(f"{escaped} & {value} \\\\")
-    latex_lines.append("\\end{tabular}")
     return Document(
         json_payload=payload,
-        csv_header=("key", "value"),
-        csv_body=tuple(flat),
-        text_body=text,
-        latex_body="\n".join(latex_lines),
+        csv_rows=(("key", "value"), *flat),
+        text_body="\n".join(f"{key} = {value}" for key, value in flat),
+        latex_body=_tabular("ll", (), flat),
     )
 
 
@@ -245,45 +216,39 @@ def _range_argument(text: str) -> range:
     )
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="text")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write the document to PATH instead of stdout")
-
-
 def _add_instance_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--genus", type=int, required=True)
     parser.add_argument("--degree", type=int, required=True)
     parser.add_argument("--order", type=int, required=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as :class:`UsageError`, so that it gets the
+    one ``error: usage: <message>`` line instead of argparse's usage block
+    on the process's stderr.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="secantinv",
         description="Exact invariants of secant varieties of smooth projective curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hilbert", help="Hilbert polynomial of the secant variety")
-    _add_instance_options(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("series", help="Hilbert series numerator and Krull dimension")
-    _add_instance_options(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("degree", help="degree of the secant variety")
-    _add_instance_options(p)
-    _add_output_options(p)
-
-    p = sub.add_parser("generators", help="minimal generators of the defining ideal")
-    _add_instance_options(p)
-    _add_output_options(p)
+    for name, help_text in (
+        ("hilbert", "Hilbert polynomial of the secant variety"),
+        ("series", "Hilbert series numerator and Krull dimension"),
+        ("degree", "degree of the secant variety"),
+        ("generators", "minimal generators of the defining ideal"),
+    ):
+        _add_instance_options(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser("coh-sym", help="cohomology of symmetric powers of the secant sheaf")
     _add_instance_options(p)
     p.add_argument("--twist", type=int, required=True)
-    _add_output_options(p)
 
     p = sub.add_parser("coh-wedge", help="cohomology of exterior powers of the secant sheaf")
     p.add_argument("--genus", type=int, required=True)
@@ -296,12 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1-of-L", type=int, default=None, dest="h1_of_l")
     p.add_argument("--h1-of-M", type=int, default=None, dest="h1_of_m")
     p.add_argument("--h1-of-LM", type=int, default=None, dest="h1_of_lm")
-    _add_output_options(p)
 
     p = sub.add_parser("coh-canonical", help="canonical-twisted cohomology dimensions")
     _add_instance_options(p)
     p.add_argument("--twist", type=int, required=True)
-    _add_output_options(p)
 
     p = sub.add_parser("coh-line", help="cohomology of the N/T line bundles on a symmetric product")
     p.add_argument("--family", choices=("N", "T"), required=True)
@@ -309,17 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--degree", type=int, required=True, help="degree of the line bundle")
     p.add_argument("--h1-of-L", type=int, default=None, dest="h1_of_l")
-    _add_output_options(p)
 
     p = sub.add_parser("tangent-cone", help="tangent-cone descriptor at a singular stratum")
     _add_instance_options(p)
     p.add_argument("--stratum", type=int, required=True)
-    _add_output_options(p)
 
     p = sub.add_parser("cone", help="cone over the secant variety with a linear vertex")
     _add_instance_options(p)
     p.add_argument("--vertex-count", type=int, required=True, dest="vertex_count")
-    _add_output_options(p)
 
     p = sub.add_parser("sweep", help="evaluate an invariant over a parameter grid")
     p.add_argument("--genus-range", type=_range_argument, required=True, dest="genus_range")
@@ -332,11 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--twist", type=int, default=1,
                    help="twist for --invariant hilbert (default 1)")
-    _add_output_options(p)
 
-    p = sub.add_parser("validate", help="run the full self-validation catalogue")
-    _add_output_options(p)
+    sub.add_parser("validate", help="run the full self-validation catalogue")
 
+    for p in sub.choices.values():  # every command writes one document
+        p.add_argument("--format", choices=FORMATS, default="text")
+        p.add_argument("--out", metavar="PATH", default=None,
+                       help="write the document to PATH instead of stdout")
     return parser
 
 
@@ -374,8 +336,7 @@ def _handle_coh_wedge(args) -> Document:
         product = LineBundleClass.from_degree(
             args.genus, args.degree_of_l + args.degree_of_m, args.h1_of_lm
         )
-    table = wedge_secant_table(args.points, args.twist, bundle, twisting, product)
-    return _table_document(table)
+    return _table_document(wedge_secant_table(args.points, args.twist, bundle, twisting, product))
 
 
 def _handle_coh_canonical(args) -> Document:
@@ -395,104 +356,72 @@ def _handle_cone(args) -> Document:
     return _record_document(cone_over_secant(_instance(args), args.vertex_count).to_json_dict())
 
 
-def _handle_sweep(args, stderr: TextIO) -> Document:
+def _handle_sweep(args) -> Document:
+    invariant = {
+        "degree": variety_degree,
+        "generators": generator_count,
+        "canonical-h0": canonical_h0,
+        "hilbert": lambda inst: hilbert_function(inst, args.twist),
+    }[args.invariant]
     cells = []
-    skipped = []
+    notes = []
     for g in args.genus_range:
         for d in args.degree_range:
             for k in args.order_range:
                 try:
-                    inst = SecantInstance(g, d, k)
-                except DomainError as exc:
-                    skipped.append(((g, d, k), str(exc)))
-                    continue
-                try:
-                    if args.invariant == "degree":
-                        value = variety_degree(inst)
-                    elif args.invariant == "generators":
-                        value = generator_count(inst)
-                    elif args.invariant == "canonical-h0":
-                        value = canonical_h0(inst)
-                    else:
-                        value = hilbert_function(inst, args.twist)
+                    value = invariant(SecantInstance(g, d, k))
                 except UsageError as exc:
-                    skipped.append(((g, d, k), str(exc)))
+                    notes.append(f"skip: genus {g} degree {d} order {k}: {exc}")
                     continue
-                cells.append((inst, value))
-    for (g, d, k), reason in skipped:
-        print(f"skip: genus {g} degree {d} order {k}: {reason}", file=stderr)
+                cells.append((g, d, k, value))
     if not cells:
         raise DomainError("sweep grid contains no valid instances")
-    cells.sort(key=lambda cell: (cell[0].genus, cell[0].degree, cell[0].order))
+    cells.sort()
     payload = {
         "invariant": args.invariant,
-        "cells": [
-            {
-                "genus": inst.genus,
-                "degree": inst.degree,
-                "order": inst.order,
-                "value": str(value),
-            }
-            for inst, value in cells
-        ],
+        "cells": [{"genus": g, "degree": d, "order": k, "value": str(value)}
+                  for g, d, k, value in cells],
     }
     if args.invariant == "hilbert":
         payload["twist"] = args.twist
-    rows = tuple(
-        (str(inst.genus), str(inst.degree), str(inst.order), str(value))
-        for inst, value in cells
-    )
+    rows = tuple(tuple(map(str, cell)) for cell in cells)
     text_lines = [f"{'g':>3} {'d':>4} {'k':>3}  {args.invariant}"]
-    for inst, value in cells:
-        text_lines.append(f"{inst.genus:>3} {inst.degree:>4} {inst.order:>3}  {value}")
-    latex_lines = ["\\begin{tabular}{rrrr}", "g & d & k & value \\\\"]
-    for inst, value in cells:
-        latex_lines.append(f"{inst.genus} & {inst.degree} & {inst.order} & {value} \\\\")
-    latex_lines.append("\\end{tabular}")
+    text_lines += [f"{g:>3} {d:>4} {k:>3}  {value}" for g, d, k, value in cells]
     return Document(
         json_payload=payload,
-        csv_header=("genus", "degree", "order", "value"),
-        csv_body=rows,
+        csv_rows=(("genus", "degree", "order", "value"), *rows),
         text_body="\n".join(text_lines),
-        latex_body="\n".join(latex_lines),
+        latex_body=_tabular("rrrr", ("g", "d", "k", "value"), rows),
+        notes=tuple(notes),
     )
 
 
-def _handle_validate(args) -> tuple[int, str]:
+def _handle_validate(args) -> Document:
     from .validation import run_catalogue
 
     results = run_catalogue()
-    failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        payload = {
-            "checks": [
-                {
-                    "name": r.name,
-                    "status": "PASS" if r.passed else "FAIL",
-                    "seconds": round(r.seconds, 3),
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-        }
-        report = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            line = f"{status}  {r.name:<45} {r.seconds:8.3f}s"
-            if r.detail:
-                line += f"  [{r.detail}]"
-            lines.append(line)
-        total = sum(r.seconds for r in results)
-        lines.append(
-            f"{len(results) - len(failed)} passed, {len(failed)} failed "
-            f"in {total:.3f}s"
-        )
-        report = "\n".join(lines) + "\n"
-    return (1 if failed else 0), report
+    failed = sum(not r.passed for r in results)
+    head = ("name", "status", "seconds", "detail")
+    rows = tuple((r.name, "PASS" if r.passed else "FAIL", f"{r.seconds:.3f}", r.detail)
+                 for r in results)
+    text_lines = [
+        f"{status}  {name:<45} {seconds:>8}s" + (f"  [{detail}]" if detail else "")
+        for name, status, seconds, detail in rows
+    ]
+    total = sum(r.seconds for r in results)
+    text_lines.append(f"{len(rows) - failed} passed, {failed} failed in {total:.3f}s")
+    return Document(
+        json_payload={
+            "checks": [dict(zip(head, row), seconds=round(r.seconds, 3))
+                       for row, r in zip(rows, results)],
+            "passed": len(rows) - failed,
+            "failed": failed,
+        },
+        csv_rows=(head, *rows),
+        text_body="\n".join(text_lines),
+        latex_body=_tabular("llrl", head, rows),
+        exit_code=1 if failed else 0,
+    )
 
 
 _HANDLERS = {
@@ -506,7 +435,25 @@ _HANDLERS = {
     "coh-line": _handle_coh_line,
     "tangent-cone": _handle_tangent_cone,
     "cone": _handle_cone,
+    "sweep": _handle_sweep,
+    "validate": _handle_validate,
 }
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it, so that
+    a failed write leaves no partial document."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    created = False
+    try:
+        with open(temporary, "x", encoding="utf-8", newline="") as handle:
+            created = True
+            handle.write(text)
+        os.replace(temporary, path)
+    except OSError as exc:
+        if created:
+            os.unlink(temporary)
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
@@ -514,31 +461,22 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
     """Parse and execute one request; returns the process exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:  # argparse reports usage errors itself
+        args = build_parser().parse_args(list(argv))
+        document = _HANDLERS[args.command](args)
+        rendered = document.render(args.format)
+        if args.out:
+            _write_out(args.out, rendered)
+    except SystemExit as exc:  # --help prints its text and exits 0
         return int(exc.code or 0)
-    code = 0
-    try:
-        if args.command == "validate":
-            code, rendered = _handle_validate(args)
-        elif args.command == "sweep":
-            rendered = _handle_sweep(args, err).render(args.format)
-        else:
-            rendered = _HANDLERS[args.command](args).render(args.format)
-    except UsageError as exc:
-        print(f"error: {_error_code(exc)}: {exc}", file=err)
-        return 2
-    except InternalCheckError as exc:
-        print(f"error: {_error_code(exc)}: {exc}", file=err)
-        return 3
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(rendered)
-    else:
+    except SecantInvError as exc:
+        print(f"error: {exc.code}: {exc}", file=err)
+        return exc.exit_code
+    for note in document.notes:
+        print(note, file=err)
+    if not args.out:
         out.write(rendered)
-    return code
+    return document.exit_code
 
 
 def main() -> None:

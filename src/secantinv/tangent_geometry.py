@@ -17,7 +17,7 @@ of the base secant variety.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import DomainError, StratumOutOfRange
 from .exactmath import QPolynomial
@@ -38,21 +38,7 @@ __all__ = [
 ]
 
 
-class _SmoothPointMarker:
-    """Sentinel base for descriptors at smooth points (stratum s = k)."""
-
-    _instance: Optional["_SmoothPointMarker"] = None
-
-    def __new__(cls) -> "_SmoothPointMarker":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "SMOOTH_POINT"
-
-
-SMOOTH_POINT = _SmoothPointMarker()
+SMOOTH_POINT = None  # the base of a descriptor at a smooth point (stratum s = k)
 
 
 @dataclass(frozen=True)
@@ -60,15 +46,15 @@ class TangentConeDescriptor:
     """Numerical description of the projectivized tangent cone at a point of
     the ``ambient`` secant variety on stratum ``stratum``.
 
-    ``base`` is the re-embedded lower secant variety, or :data:`SMOOTH_POINT`
-    when the stratum is the smooth locus.  The vertex has projective
-    dimension 2s, the whole cone 2k, and the multiplicity is 1 exactly at
-    smooth points.
+    ``base`` is the re-embedded lower secant variety, or ``None``
+    (:data:`SMOOTH_POINT`) when the stratum is the smooth locus.  The vertex
+    has projective dimension 2s, the whole cone 2k, and the multiplicity is
+    1 exactly at smooth points.
     """
 
     ambient: SecantInstance
     stratum: int
-    base: Union[SecantInstance, _SmoothPointMarker]
+    base: Optional[SecantInstance]
     vertex_proj_dim: int
     cone_proj_dim: int
     multiplicity: int
@@ -77,7 +63,7 @@ class TangentConeDescriptor:
 
     @property
     def is_smooth_point(self) -> bool:
-        return isinstance(self.base, _SmoothPointMarker)
+        return self.base is None
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,8 +3,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from secantinv import QPolynomial, SecantInstance, hilbert_polynomial, hilbert_series
 from secantinv.cli import run
+from secantinv.validation import CheckResult
 
 
 def invoke(argv):
@@ -343,3 +346,158 @@ class TestValidateCommand:
         )
         assert result.returncode == 0
         assert "hilbert" in result.stdout
+
+
+# Two fixed catalogue results stand in for ``run_catalogue`` below, so that
+# the validate report's bytes are reproducible; the second fails and carries
+# LaTeX specials in its detail.
+_STUB_CHECKS = [
+    CheckResult("exactmath/pascal-grid", True, 0.0123, ""),
+    CheckResult("cli/determinism", False, 1.5, "x_1 & {y}"),
+]
+
+_PINNED = [
+    pytest.param(
+        "coh-sym --genus 1 --degree 7 --order 1 --twist 2 --format text", 0,
+        "family SymE\ngenus = 1\ndegree = 7\norder = 1\ntwist = 2\n"
+        "i  l  dim\n0  2  28\n1  2  14\n2  2  0\n", "",
+        id="coh-sym-text"),
+    pytest.param(
+        "coh-sym --genus 1 --degree 7 --order 1 --twist 2 --format latex", 0,
+        "\\begin{tabular}{rrr}\ni & \\ell & h^i \\\\\n0 & 2 & 28 \\\\\n"
+        "1 & 2 & 14 \\\\\n2 & 2 & 0 \\\\\n\\end{tabular}\n", "",
+        id="coh-sym-latex"),
+    pytest.param(
+        "tangent-cone --genus 0 --degree 6 --order 2 --stratum 0 --format text", 0,
+        "ambient.degree = 6\nambient.genus = 0\nambient.order = 2\n"
+        "base.degree = 4\nbase.genus = 0\nbase.order = 1\nbase_is_fano = true\n"
+        "cone_proj_dim = 4\nmultiplicity = 3\nseries.krull_dim = 5\n"
+        "series.numerator[0] = 1\nseries.numerator[1] = 1\nseries.numerator[2] = 1\n"
+        "stratum = 0\nvertex_proj_dim = 0\n", "",
+        id="tangent-cone-text"),
+    pytest.param(
+        "tangent-cone --genus 0 --degree 6 --order 2 --stratum 0 --format latex", 0,
+        "\\begin{tabular}{ll}\nambient.degree & 6 \\\\\nambient.genus & 0 \\\\\n"
+        "ambient.order & 2 \\\\\nbase.degree & 4 \\\\\nbase.genus & 0 \\\\\n"
+        "base.order & 1 \\\\\nbase\\_is\\_fano & true \\\\\ncone\\_proj\\_dim & 4 \\\\\n"
+        "multiplicity & 3 \\\\\nseries.krull\\_dim & 5 \\\\\n"
+        "series.numerator[0] & 1 \\\\\nseries.numerator[1] & 1 \\\\\n"
+        "series.numerator[2] & 1 \\\\\nstratum & 0 \\\\\nvertex\\_proj\\_dim & 0 \\\\\n"
+        "\\end{tabular}\n", "",
+        id="tangent-cone-latex"),
+    pytest.param(
+        "tangent-cone --genus 2 --degree 9 --order 1 --stratum 1 --format text", 0,
+        "ambient.degree = 9\nambient.genus = 2\nambient.order = 1\nbase = null\n"
+        "base_is_fano = null\ncone_proj_dim = 2\nmultiplicity = 1\n"
+        "series.krull_dim = 3\nseries.numerator[0] = 1\nstratum = 1\n"
+        "vertex_proj_dim = 2\n", "",
+        id="tangent-cone-smooth-text"),
+    pytest.param(
+        "cone --genus 0 --degree 4 --order 1 --vertex-count 2 --format text", 0,
+        "instance.degree = 4\ninstance.genus = 0\ninstance.order = 1\n"
+        "series.krull_dim = 6\nseries.numerator[0] = 1\nseries.numerator[1] = 1\n"
+        "series.numerator[2] = 1\nvertex_count = 2\n", "",
+        id="cone-text"),
+    pytest.param(
+        "cone --genus 0 --degree 4 --order 1 --vertex-count 2 --format latex", 0,
+        "\\begin{tabular}{ll}\ninstance.degree & 4 \\\\\ninstance.genus & 0 \\\\\n"
+        "instance.order & 1 \\\\\nseries.krull\\_dim & 6 \\\\\n"
+        "series.numerator[0] & 1 \\\\\nseries.numerator[1] & 1 \\\\\n"
+        "series.numerator[2] & 1 \\\\\nvertex\\_count & 2 \\\\\n\\end{tabular}\n", "",
+        id="cone-latex"),
+    pytest.param(
+        "sweep --genus-range 0:1 --degree-range 4:5 --order-range 0:1"
+        " --invariant degree --format text", 0,
+        "  g    d   k  degree\n  0    4   0  4\n  0    4   1  3\n  0    5   0  5\n"
+        "  0    5   1  6\n  1    4   0  4\n  1    5   0  5\n  1    5   1  5\n",
+        "skip: genus 1 degree 4 order 1: degree 4 violates d >= 2g+2k+1 = 5\n",
+        id="sweep-text"),
+    pytest.param(
+        "sweep --genus-range 0:1 --degree-range 4:5 --order-range 0:1"
+        " --invariant degree --format latex", 0,
+        "\\begin{tabular}{rrrr}\ng & d & k & value \\\\\n0 & 4 & 0 & 4 \\\\\n"
+        "0 & 4 & 1 & 3 \\\\\n0 & 5 & 0 & 5 \\\\\n0 & 5 & 1 & 6 \\\\\n"
+        "1 & 4 & 0 & 4 \\\\\n1 & 5 & 0 & 5 \\\\\n1 & 5 & 1 & 5 \\\\\n\\end{tabular}\n",
+        "skip: genus 1 degree 4 order 1: degree 4 violates d >= 2g+2k+1 = 5\n",
+        id="sweep-latex"),
+    pytest.param(
+        "sweep --genus-range 3:3 --degree-range 3:4 --order-range 2:2 --invariant degree", 2,
+        "", "error: domain: sweep grid contains no valid instances\n",
+        id="sweep-empty-grid"),
+    pytest.param(
+        "degree --genus 2 --degree 9 --order 1 --format csv", 0,
+        "key,value\nvalue,26\n", "",
+        id="degree-csv"),
+    pytest.param(
+        "degree --genus 2 --degree 9 --order 1 --format latex", 0, "26\n", "",
+        id="degree-latex"),
+    pytest.param(
+        "series --genus 2 --degree 9 --order 1 --format csv", 0,
+        "key,value\nnumerator[0],1\nnumerator[1],4\nnumerator[2],10\n"
+        "numerator[3],8\nnumerator[4],3\nkrull_dim,4\n", "",
+        id="series-csv"),
+    pytest.param(
+        "series --genus 2 --degree 9 --order 1 --format latex", 0,
+        "\\frac{3 t^{4} + 8 t^{3} + 10 t^{2} + 4 t + 1}{(1 - t)^{4}}\n", "",
+        id="series-latex"),
+    pytest.param(
+        "validate --format text", 1,
+        "PASS  exactmath/pascal-grid                            0.012s\n"
+        "FAIL  cli/determinism                                  1.500s  [x_1 & {y}]\n"
+        "1 passed, 1 failed in 1.512s\n", "",
+        id="validate-text"),
+    pytest.param(
+        "validate --format csv", 1,
+        "name,status,seconds,detail\nexactmath/pascal-grid,PASS,0.012,\n"
+        "cli/determinism,FAIL,1.500,x_1 & {y}\n", "",
+        id="validate-csv"),
+    pytest.param(
+        "validate --format latex", 1,
+        "\\begin{tabular}{llrl}\nname & status & seconds & detail \\\\\n"
+        "exactmath/pascal-grid & PASS & 0.012 &  \\\\\n"
+        "cli/determinism & FAIL & 1.500 & x\\_1 \\& \\{y\\} \\\\\n\\end{tabular}\n", "",
+        id="validate-latex"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", _PINNED)
+def test_pinned_bytes(monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setattr("secantinv.validation.run_catalogue", lambda: list(_STUB_CHECKS))
+    assert invoke(argv.split()) == (code, stdout, stderr)
+
+
+class TestOneErrorLine:
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--genus", "0", "--degree", "4", "--order", "1", "--frobnicate"],
+        ["hilbert", "--genus", "x", "--degree", "4", "--order", "1"],
+        ["sweep", "--genus-range", "2:1", "--degree-range", "3:4",
+         "--order-range", "0:0", "--invariant", "degree"],
+        ["frobnicate"],
+    ], ids=["unknown-flag", "bad-int", "bad-range", "unknown-command"])
+    def test_bad_command_line(self, capsys, argv):
+        code, out, err = invoke(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: usage: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert capsys.readouterr() == ("", "")
+
+    def test_out_into_missing_directory(self, tmp_path):
+        path = tmp_path / "missing" / "x"
+        code, out, err = invoke(
+            ["degree", "--genus", "2", "--degree", "9", "--order", "1", "--out", str(path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: usage: cannot write {path}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_replaces_existing_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "degree.txt"
+        path.write_text("stale and longer than the new document\n", encoding="utf-8")
+        code, _, _ = invoke(
+            ["degree", "--genus", "2", "--degree", "9", "--order", "1", "--out", str(path)]
+        )
+        assert code == 0
+        assert path.read_text(encoding="utf-8") == "26\n"
+        assert list(tmp_path.iterdir()) == [path]
