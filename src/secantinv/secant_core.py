@@ -10,9 +10,12 @@ polynomial of degree 2k+1.
 chi is pinned down by its values at the 2k+2 twists -k..k+1 (the node
 values): 1 - C(g+k, k+1) at twist 0, C(d-g+l, l) at twists 1..k+1, and at
 negative twists the value forced by the vanishing of the alternating sum
-sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l), which recurses over lower secant
-orders of the same (g, d).  The polynomial is then computed twice, by a
-closed form and by Lagrange interpolation, and the two must agree exactly.
+sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
+(g, d).  The node values are integers, built bottom-up in one table: row j
+holds chi_j at twists -k..j+1, its negative twists come from the rows below
+it, and the vanishing (2j+2)-th forward difference of chi_j extends it below
+twist -j.  The polynomial is then computed twice, by a closed form and by
+Lagrange interpolation, and the two must agree exactly.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -88,24 +90,24 @@ class SecantInstance:
 class NodeValues:
     """chi values at the 2k+2 interpolation twists -k..k+1.
 
-    ``entries[i]`` holds the value at twist i - order.  The values at twists
-    1..k+1 are positive integers; every entry equals the Hilbert polynomial
-    of the instance evaluated at its twist.
+    ``entries[i]`` holds the value at twist i - order.  Every entry is an
+    integer, positive at twists 1..k+1, and equals the Hilbert polynomial of
+    the instance evaluated at its twist.
     """
 
     order: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[int, ...]
 
     @property
     def twists(self) -> range:
         return range(-self.order, self.order + 2)
 
-    def __getitem__(self, twist: int) -> Fraction:
+    def __getitem__(self, twist: int) -> int:
         if twist not in self.twists:
             raise KeyError(f"twist {twist} outside node range {self.twists}")
         return self.entries[twist + self.order]
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
+    def items(self) -> Iterator[tuple[int, int]]:
         for twist in self.twists:
             yield twist, self[twist]
 
@@ -155,21 +157,28 @@ class HilbertSeries:
 
 
 @lru_cache(maxsize=None)
-def _node_table(genus: int, degree: int, order: int) -> tuple[Fraction, ...]:
-    """Node values at twists -k..k+1, as a tuple indexed by twist + k."""
+def _node_table(genus: int, degree: int, order: int) -> tuple[int, ...]:
+    """Node values at twists -k..k+1, as a tuple indexed by twist + k: the
+    last row of a table whose row j holds chi_j at twists -k..j+1."""
     g, d, k = genus, degree, order
-    table: dict[int, Fraction] = {0: Fraction(1 - binomial(g + k, k + 1))}
-    for twist in range(1, k + 2):
-        table[twist] = Fraction(binomial(d - g + twist, twist))
-    for twist in range(-k, 0):
-        # The alternating sum over i = 0..k of (-1)^i C(g,i) chi_{k-i}(twist)
-        # vanishes at these twists, so the i = 0 term is minus the rest.
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            lower = _chi(g, d, k - i)
-            acc += (-1) ** i * binomial(g, i) * lower(twist)
-        table[twist] = -acc
-    return tuple(table[twist] for twist in range(-k, k + 2))
+    rows: list[list[int]] = []
+    for j in range(k + 1):
+        row = [0] * (k + j + 2)
+        row[k] = 1 - binomial(g + j, j + 1)
+        for twist in range(1, j + 2):
+            row[twist + k] = binomial(d - g + twist, twist)
+        for twist in range(-j, 0):
+            # The alternating sum over i = 0..j of (-1)^i C(g,i) chi_{j-i}(twist)
+            # vanishes at these twists, so the i = 0 term is minus the rest.
+            row[twist + k] = -sum((-1) ** i * binomial(g, i) * rows[j - i][twist + k]
+                                  for i in range(1, min(g, j) + 1))
+        # chi_j has degree 2j+1, so its (2j+2)-th forward difference vanishes;
+        # that extends the row from twist -j down to -k.
+        steps = [(-1) ** m * binomial(2 * j + 2, m) for m in range(1, 2 * j + 3)]
+        for index in range(k - j - 1, -1, -1):
+            row[index] = -sum(w * row[index + m] for m, w in enumerate(steps, 1))
+        rows.append(row)
+    return tuple(rows[k])
 
 
 def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
@@ -190,12 +199,7 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
             raise InternalMismatch(
                 f"C(t+{k}, {2 * k + 2}) is not divisible by (t - {twist})"
             )
-        weight = (
-            Fraction((-1) ** (k + 1 - twist))
-            * a
-            * binomial(2 * k + 2, k + twist)
-            * (k + 2 - twist)
-        )
+        weight = (-1) ** (k + 1 - twist) * a * binomial(2 * k + 2, k + twist) * (k + 2 - twist)
         total = total + quotient * weight
     return total
 
@@ -206,7 +210,7 @@ def _chi(genus: int, degree: int, order: int) -> QPolynomial:
     closed = _closed_form(genus, degree, order)
     nodes = _node_table(genus, degree, order)
     interpolated = lagrange_interpolate(
-        [(Fraction(index - order), value) for index, value in enumerate(nodes)]
+        [(index - order, value) for index, value in enumerate(nodes)]
     )
     if closed != interpolated:
         raise InternalMismatch(

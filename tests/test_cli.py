@@ -301,6 +301,28 @@ class TestOutputPlumbing:
             )
 
 
+class TestSharedParser:
+    @pytest.mark.parametrize("argv", [["--help"], ["hilbert", "--help"]])
+    def test_help_goes_to_run_stdout(self, capsys, argv):
+        code, out, err = invoke(argv)
+        assert code == 0
+        assert out.startswith("usage: secantinv")
+        assert err == ""
+        assert capsys.readouterr() == ("", "")
+
+    def test_no_state_carries_between_runs(self):
+        import secantinv.cli as cli
+
+        wedge = ["coh-wedge", "--genus", "2", "--points", "2", "--twist", "1",
+                 "--degree-of-L", "1", "--degree-of-M", "0", "--h1-of-M", "2",
+                 "--h1-of-LM", "1"]
+        assert invoke(wedge + ["--h1-of-L", "1"])[0] == 0
+        reused = invoke(wedge)
+        cli._build_parser.cache_clear()
+        assert reused == invoke(wedge)
+        assert reused[0] == 2 and reused[2].startswith("error: ambiguous-bundle:")
+
+
 class TestErrorTaxonomy:
     def test_internal_consistency_failures_exit_3(self, monkeypatch):
         import secantinv.cli as cli_mod

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -90,6 +91,19 @@ class TestNodeValues:
                 assert value.denominator == 1
                 if twist >= 1:
                     assert value > 0
+
+    def test_node_table_builds_no_chi(self):
+        # the lower orders are rows of one integer table, not chi builds
+        import secantinv.secant_core as core
+
+        core._chi.cache_clear()
+        core._node_table.cache_clear()
+        node_values(SecantInstance(3, 40, 12))
+        assert core._chi.cache_info().currsize == 0
+
+    def test_entries_are_ints(self):
+        for inst in [*valid_grid(3, 3, 2), SecantInstance(3, 40, 12)]:
+            assert all(type(v) is int for v in node_values(inst).entries)
 
     def test_node_consistency_with_polynomial(self):
         for inst in valid_grid(3, 3, 4):
@@ -199,6 +213,11 @@ class TestVarietyDegree:
 
     def test_catalecticant_cubic(self):
         assert variety_degree(SecantInstance(0, 4, 1)) == 3
+
+    @pytest.mark.parametrize("k", [30, 40])
+    def test_genus0_high_order_is_eagon_northcott(self, k):
+        # degree C(d-k, k+1) of the Hankel determinantal variety
+        assert variety_degree(SecantInstance(0, 2 * k + 10, k)) == comb(k + 10, k + 1)
 
     def test_chordal_formula(self):
         for g in range(5):
