@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .cohomology import (
 from .errors import DomainError, SecantInvError, UsageError
 from .exactmath import QPolynomial, format_rational
 from .secant_core import (
+    _MAX_ORDER,
     HilbertSeries,
     SecantInstance,
     canonical_h0,
@@ -46,6 +48,8 @@ from .secant_core import (
 from .tangent_geometry import cone_over_secant, tangent_cone_at
 
 FORMATS = ("text", "json", "csv", "latex")
+# Admission limit: the most grid cells one sweep may request.
+_MAX_SWEEP_CELLS = 10_000
 
 def latex_rational(value: Fraction) -> str:
     if value.denominator == 1:
@@ -374,6 +378,12 @@ def _handle_sweep(args) -> Document:
         "canonical-h0": canonical_h0,
         "hilbert": lambda inst: hilbert_function(inst, args.twist),
     }[args.invariant]
+    grid = (args.genus_range, args.degree_range, args.order_range)
+    requested = math.prod(r.stop - r.start for r in grid)  # len() overflows past 2**63
+    if requested > _MAX_SWEEP_CELLS:
+        raise DomainError(f"sweep grid has {requested} cells, more than the maximum {_MAX_SWEEP_CELLS}")
+    if args.order_range[-1] > _MAX_ORDER:
+        raise DomainError(f"order {args.order_range[-1]} exceeds the maximum order {_MAX_ORDER}")
     cells = []
     notes = []
     for g in args.genus_range:

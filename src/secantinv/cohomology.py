@@ -137,19 +137,29 @@ def wedge_dim(n: int, j: int) -> int:
     return binomial(n, j)
 
 
+# Admission limit: the largest symmetric product accepted.  A table has
+# points + 1 entries, and a wedge entry sums up to points + 1 terms.
+_MAX_POINTS = 1000
+
+
+def _check_points(points: int) -> None:
+    if points < 1:
+        raise DomainError(f"points {points} must be positive")
+    if points > _MAX_POINTS:
+        raise DomainError(f"points {points} exceeds the maximum {_MAX_POINTS}")
+
+
 def coh_determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the determinant of the
     tautological sheaf of ``bundle``: wedge^{m-i} h0 times sym^i h1."""
-    if points < 1:
-        raise DomainError(f"points {points} must be positive")
+    _check_points(points)
     return wedge_dim(bundle.h0, points - i) * sym_dim(bundle.h1, i)
 
 
 def coh_descent_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the invariant descent of
     the box power of ``bundle``: sym^{m-i} h0 times wedge^i h1."""
-    if points < 1:
-        raise DomainError(f"points {points} must be positive")
+    _check_points(points)
     return sym_dim(bundle.h0, points - i) * wedge_dim(bundle.h1, i)
 
 
@@ -234,8 +244,7 @@ def coh_wedge_secant_sheaf(
     derived when its degree forces it and must be supplied otherwise.
     No positivity is required of either input bundle.
     """
-    if points < 1:
-        raise DomainError(f"points {points} must be positive")
+    _check_points(points)
     if not 1 <= twist <= points:
         raise DomainError(f"twist {twist} must lie in 1..{points}")
     if not 0 <= i <= points:
@@ -323,6 +332,7 @@ def line_bundle_table(
 ) -> CohomologyTable:
     """Table of h^i, i = 0..points, for the "N" (determinant) or "T"
     (descent) line-bundle family on the points-th symmetric product."""
+    _check_points(points)
     if family == "N":
         op = coh_determinant_line
     elif family == "T":
@@ -373,6 +383,7 @@ def wedge_secant_table(
     twisting: LineBundleClass,
     product: Optional[LineBundleClass] = None,
 ) -> CohomologyTable:
+    _check_points(points)
     entries = tuple(
         TableEntry(
             i, twist, coh_wedge_secant_sheaf(points, twist, bundle, twisting, i, product)

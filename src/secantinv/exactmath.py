@@ -5,6 +5,11 @@ kind: integers are Python ints, rationals are ``fractions.Fraction`` (always
 stored in lowest terms with positive denominator), and polynomials carry a
 dense ascending list of rational coefficients in the twist variable t.
 
+The two hot paths run on Python ints and build one ``Fraction`` per result:
+evaluation (:meth:`QPolynomial.__call__`) is Horner's rule over the common
+denominator of the coefficients, and :func:`lagrange_interpolate` runs a
+fraction-free divided-difference table and expands it in integers.
+
 Serialization contract used across the package: a rational renders as the
 string ``"p/q"`` with q > 0 and gcd(|p|, q) = 1, or plain ``"p"`` when q = 1;
 a polynomial renders as the list of such strings in ascending degree.
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import DuplicateNode, NonvanishingTail
+from .errors import DuplicateNode, InternalMismatch, NonvanishingTail
 
 # The only numeric carriers in the package.
 Rational = Fraction
@@ -114,11 +119,20 @@ class QPolynomial:
         return Fraction(0)
 
     def __call__(self, point: RationalLike) -> Fraction:
+        """Value at ``point``: Horner's rule on integers, over the common
+        denominator D of the coefficients and with the point p/q
+        homogenized, so that acc = D * q^n * value after the last step."""
+        if not self.coefficients:
+            return Fraction(0)
         x = Fraction(point)
-        acc = Fraction(0)
+        p, q = x.numerator, x.denominator
+        common = math.lcm(*(c.denominator for c in self.coefficients))
+        acc = 0
+        q_power = 1  # q^j at the coefficient j places below the top
         for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+            acc = acc * p + c.numerator * (common // c.denominator) * q_power
+            q_power *= q
+        return Fraction(acc, common * (q_power // q))
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         a, b = self.coefficients, other.coefficients
@@ -212,8 +226,13 @@ def lagrange_interpolate(
 ) -> QPolynomial:
     """Unique polynomial of degree <= len(nodes)-1 through the given nodes.
 
-    Computed by Newton divided differences over exact rationals, so the
-    result reproduces every node ordinate with zero error.  Raises
+    Computed by Newton divided differences, fraction-free: the abscissae
+    and ordinates are scaled to integers u_j and v_j, and with
+    M = lcm_j prod_{m != j} (u_j - u_m) every divided difference of the v_j
+    times M is an integer, so the table needs only exact integer division
+    (a nonzero remainder raises :class:`InternalMismatch`).  The Newton form
+    is expanded in integers, and one ``Fraction`` is built per coefficient,
+    so the result reproduces every node ordinate with zero error.  Raises
     :class:`DuplicateNode` if two abscissae coincide.
     """
     if not nodes:
@@ -223,19 +242,39 @@ def lagrange_interpolate(
     if len(set(xs)) != len(xs):
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
 
-    # Divided-difference table, in place: coef[i] ends as f[x_0, ..., x_i].
-    coef = ys[:]
+    # With u_j = x_scale * x_j and v_j = y_scale * y_j, the result is
+    # p(x_scale * t) / y_scale for the integer-node interpolant p.
+    x_scale = math.lcm(*(x.denominator for x in xs))
+    y_scale = math.lcm(*(y.denominator for y in ys))
+    us = [x.numerator * (x_scale // x.denominator) for x in xs]
     n = len(nodes)
+    scale = math.lcm(*(math.prod(us[j] - us[m] for m in range(n) if m != j) for j in range(n)))
+
+    # Divided-difference table, in place: coef[i] ends as scale * v[u_0, ..., u_i].
+    coef = [y.numerator * (y_scale // y.denominator) * scale for y in ys]
     for order in range(1, n):
         for i in range(n - 1, order - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - order])
+            coef[i], remainder = divmod(coef[i] - coef[i - 1], us[i] - us[i - order])
+            if remainder:
+                raise InternalMismatch(
+                    f"divided difference of order {order} at node {i} is not a multiple of 1/{scale}"
+                )
 
-    # Expand the Newton form coef[0] + coef[1](t-x_0) + ... into monomials.
-    poly = QPolynomial.constant(coef[n - 1])
+    # Expand the Newton form coef[0] + coef[1](u-u_0) + ... into monomials.
+    poly = [coef[n - 1]]
     for i in range(n - 2, -1, -1):
-        linear = QPolynomial((-xs[i], Fraction(1)))
-        poly = poly * linear + QPolynomial.constant(coef[i])
-    return poly
+        shifted = [0, *poly]
+        for power, c in enumerate(poly):
+            shifted[power] -= us[i] * c
+        shifted[0] += coef[i]
+        poly = shifted
+
+    coefficients = []
+    x_power = 1
+    for c in poly:
+        coefficients.append(Fraction(c * x_power, scale * y_scale))
+        x_power *= x_scale
+    return QPolynomial(tuple(coefficients))
 
 
 def finite_difference_numerator(

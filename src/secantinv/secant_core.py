@@ -15,7 +15,8 @@ sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
 holds chi_j at twists -k..j+1, its negative twists come from the rows below
 it, and the vanishing (2j+2)-th forward difference of chi_j extends it below
 twist -j.  The polynomial is then computed twice, by a closed form and by
-Lagrange interpolation, and the two must agree exactly.
+Newton interpolation, both in integer arithmetic with one ``Fraction`` per
+coefficient, and the two must agree exactly.  Orders above 200 are refused.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -25,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, GeneratorDegreeUnknown, InternalMismatch
-from .exactmath import QPolynomial, binomial, binomial_poly, lagrange_interpolate, finite_difference_numerator
+from .exactmath import QPolynomial, binomial, lagrange_interpolate, finite_difference_numerator
 
 __all__ = [
     "SecantInstance",
@@ -45,9 +47,14 @@ __all__ = [
 ]
 
 
+# Admission limit: the largest secant order accepted.  The time and memory
+# of a chi build grow with the order without bound.
+_MAX_ORDER = 200
+
+
 @dataclass(frozen=True)
 class SecantInstance:
-    """(genus, degree, order) = (g, d, k) with d >= 2g+2k+1."""
+    """(genus, degree, order) = (g, d, k) with d >= 2g+2k+1 and k <= 200."""
 
     genus: int
     degree: int
@@ -58,6 +65,8 @@ class SecantInstance:
             raise DomainError(f"genus {self.genus} must be nonnegative")
         if self.order < 0:
             raise DomainError(f"order {self.order} must be nonnegative")
+        if self.order > _MAX_ORDER:
+            raise DomainError(f"order {self.order} exceeds the maximum order {_MAX_ORDER}")
         bound = 2 * self.genus + 2 * self.order + 1
         if self.degree < bound:
             raise DomainError(
@@ -182,26 +191,42 @@ def _node_table(genus: int, degree: int, order: int) -> tuple[int, ...]:
 
 
 def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
-    """chi as the explicit node-weighted sum.
+    """chi as the explicit node-weighted sum, in integers.
 
     Each node twist l contributes (-1)^{k+1-l} a_l C(2k+2, k+l) (k+2-l)
     times the exact quotient of C(t+k, 2k+2) by its linear factor (t - l);
     the quotient is exact because every node twist is a root of C(t+k, 2k+2).
+    The sum is built on (2k+2)! C(t+k, 2k+2) = prod_{i=0..2k+1} (t+k-i),
+    whose coefficients are integers, by integer synthetic division, and
+    divided by (2k+2)! once per coefficient.
     """
     k = order
+    size = 2 * k + 2
     nodes = _node_table(genus, degree, order)
-    base = binomial_poly(k, 2 * k + 2)
-    total = QPolynomial.zero()
+    base = [1]  # ascending coefficients of prod (t+k-i) over the factors so far
+    for i in range(size):
+        root = k - i
+        shifted = [0, *base]
+        for power, c in enumerate(base):
+            shifted[power] += root * c
+        base = shifted
+    total = [0] * size
     for index, a in enumerate(nodes):
         twist = index - k
-        quotient, remainder = base.divide_by_linear(twist)
-        if remainder != 0:
+        quotient = []  # descending coefficients
+        acc = 0
+        for c in reversed(base):
+            acc = acc * twist + c
+            quotient.append(acc)
+        if quotient.pop() != 0:
             raise InternalMismatch(
-                f"C(t+{k}, {2 * k + 2}) is not divisible by (t - {twist})"
+                f"C(t+{k}, {size}) is not divisible by (t - {twist})"
             )
-        weight = (-1) ** (k + 1 - twist) * a * binomial(2 * k + 2, k + twist) * (k + 2 - twist)
-        total = total + quotient * weight
-    return total
+        weight = (-1) ** (k + 1 - twist) * a * binomial(size, k + twist) * (k + 2 - twist)
+        for power, c in enumerate(reversed(quotient)):
+            total[power] += weight * c
+    denominator = math.factorial(size)
+    return QPolynomial(tuple(Fraction(c, denominator) for c in total))
 
 
 @lru_cache(maxsize=None)

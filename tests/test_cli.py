@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -242,6 +243,33 @@ class TestSweep:
         )
         assert code == 0
         assert out.splitlines() == ["genus,degree,order,value", "2,9,1,26"]
+
+
+class TestAdmissionLimits:
+    @pytest.mark.parametrize("argv, message", [
+        (["degree", "--genus", "0", "--degree", "1000", "--order", "201"],
+         "order 201 exceeds the maximum order 200"),
+        (["coh-line", "--family", "N", "--points", "1000000000", "--genus", "2", "--degree", "7"],
+         "points 1000000000 exceeds the maximum 1000"),
+        (["coh-wedge", "--genus", "2", "--points", "1001", "--twist", "1",
+          "--degree-of-L", "7", "--degree-of-M", "0", "--h1-of-M", "2"],
+         "points 1001 exceeds the maximum 1000"),
+        (["sweep", "--genus-range", "0:100", "--degree-range", "1:100", "--order-range", "0",
+          "--invariant", "degree"],
+         "sweep grid has 10100 cells, more than the maximum 10000"),
+        (["sweep", "--genus-range", "0:10000000000000000000", "--degree-range", "1:2",
+          "--order-range", "0", "--invariant", "degree"],
+         "sweep grid has 20000000000000000002 cells, more than the maximum 10000"),
+        (["sweep", "--genus-range", "0", "--degree-range", "1:10", "--order-range", "0:201",
+          "--invariant", "degree"],
+         "order 201 exceeds the maximum order 200"),
+    ])
+    def test_rejected_before_any_work(self, argv, message):
+        assert invoke(argv) == (2, "", f"error: domain: {message}\n")
+
+    def test_largest_admitted_order(self):
+        code, out, err = invoke(["degree", "--genus", "0", "--degree", "1000", "--order", "200"])
+        assert (code, out, err) == (0, f"{comb(800, 201)}\n", "")
 
 
 class TestOutputPlumbing:

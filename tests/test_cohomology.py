@@ -306,6 +306,18 @@ class TestTables:
         with pytest.raises(DomainError):
             line_bundle_table("X", 3, lb)
 
+    def test_points_admission_limit(self):
+        lb = LineBundleClass.nonspecial(2, 7)
+        assert len(line_bundle_table("T", 1000, lb).entries) == 1001
+        for points, message in [(1001, "points 1001 exceeds the maximum 1000"),
+                                (-1, "points -1 must be positive")]:
+            with pytest.raises(DomainError, match=message):
+                line_bundle_table("N", points, lb)
+            with pytest.raises(DomainError, match=message):
+                wedge_secant_table(points, 1, lb, LineBundleClass.trivial(2))
+            with pytest.raises(DomainError, match=message):
+                coh_determinant_line(points, lb, 0)
+
     def test_wedge_table(self):
         bundle = LineBundleClass.nonspecial(2, 7)
         table = wedge_secant_table(2, 1, bundle, LineBundleClass.trivial(2))

@@ -1,7 +1,11 @@
 """Randomised checks of the engine against the independent oracles, plus
 metamorphic relations between its outputs.  Draws are derandomized, so every
 run checks the same instances; the fixed grids in the other test files stay
-the primary coverage."""
+the primary coverage.  The last two tests compare the integer evaluation and
+interpolation of :mod:`secantinv.exactmath` with naive ``Fraction`` versions
+written here."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secantinv import (
+    QPolynomial,
     SecantInstance,
     binomial,
     cone_over_secant,
@@ -18,6 +23,7 @@ from secantinv import (
     hilbert_function,
     hilbert_polynomial,
     hilbert_series,
+    lagrange_interpolate,
     tangent_cone_at,
     variety_degree,
 )
@@ -101,3 +107,57 @@ def test_series_numerator_is_nonnegative(inst):
     assert numerator.coefficient(0) == 1
     assert all(c.denominator == 1 and c >= 0 for c in numerator.coefficients)
     assert numerator(1) == variety_degree(inst)
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def nodes(draw):
+    """Up to 8 nodes with distinct rational abscissae; the ordinates are
+    sometimes all zero, so the zero polynomial is drawn too."""
+    xs = draw(st.lists(rationals, min_size=1, max_size=8, unique=True))
+    zeros = st.just([Fraction(0)] * len(xs))
+    ys = draw(st.one_of(zeros, st.lists(rationals, min_size=len(xs), max_size=len(xs))))
+    return list(zip(xs, ys))
+
+
+def naive_horner(coefficients, x):
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def naive_lagrange(points):
+    """Ascending monomial coefficients of sum_j y_j prod_{m != j} (t - x_m)/(x_j - x_m)."""
+    total = [Fraction(0)] * len(points)
+    for j, (xj, yj) in enumerate(points):
+        basis = [Fraction(1)]
+        for m, (xm, _) in enumerate(points):
+            if m != j:
+                basis = [a - xm * b for a, b in zip([Fraction(0), *basis], [*basis, Fraction(0)])]
+                basis = [c / (xj - xm) for c in basis]
+        total = [a + yj * b for a, b in zip(total, basis)]
+    return total
+
+
+@checked
+@given(nodes(), st.lists(rationals, max_size=6))
+def test_evaluation_matches_naive_fraction_horner(points, extra):
+    coefficients = naive_lagrange(points)
+    poly = QPolynomial(coefficients)
+    for x in [x for x, _ in points] + extra:
+        assert poly(x) == naive_horner(coefficients, x)
+        assert QPolynomial.zero()(x) == 0
+    for x, y in points:
+        assert poly(x) == y
+
+
+@checked
+@given(nodes())
+def test_interpolation_matches_naive_fraction_lagrange(points):
+    poly = lagrange_interpolate(points)
+    assert poly == QPolynomial(naive_lagrange(points))
+    for x, y in points:
+        assert naive_horner(poly.coefficients, x) == y

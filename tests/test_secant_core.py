@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -56,6 +57,11 @@ class TestSecantInstance:
             SecantInstance(-1, 5, 0)
         with pytest.raises(DomainError):
             SecantInstance(0, 5, -1)
+
+    def test_order_admission_limit(self):
+        SecantInstance(0, 1000, 200)
+        with pytest.raises(DomainError, match=r"order 201 exceeds the maximum order 200"):
+            SecantInstance(0, 1000, 201)
 
     def test_json_round_trip(self):
         inst = SecantInstance(1, 7, 2)
@@ -323,6 +329,45 @@ class TestDualRouteGuard:
             monkeypatch.undo()
             core._chi.cache_clear()
             core._node_table.cache_clear()
+
+
+    def test_corrupted_closed_form_route_is_detected(self, monkeypatch):
+        import secantinv.secant_core as core
+        from secantinv import InternalMismatch
+
+        real_closed_form = core._closed_form
+
+        def skewed(genus, degree, order):
+            return real_closed_form(genus, degree, order) + QPolynomial([1])
+
+        monkeypatch.setattr(core, "_closed_form", skewed)
+        core._chi.cache_clear()
+        core._node_table.cache_clear()
+        try:
+            with pytest.raises(InternalMismatch):
+                core.hilbert_polynomial(SecantInstance(2, 9, 1))
+        finally:
+            monkeypatch.undo()
+            core._chi.cache_clear()
+            core._node_table.cache_clear()
+
+
+class TestPinnedChi:
+    """sha256 of chi's comma-joined wire strings, recorded with the engine
+    that built both routes in ``Fraction`` arithmetic."""
+
+    @pytest.mark.parametrize(
+        "g, d, k, digest",
+        [
+            (5, 35, 10, "a89c3895bf465df89dc56bd115f6d966a228b94091c42b8d5900248a365fe89a"),
+            (5, 55, 20, "336afc224eb69d3c37501d3f595198942735a8ebd7296fb75f5d4b884820adce"),
+            (5, 95, 40, "4a6dea80a558fa56945a15e85263c203a81e3374bc2c8d8a54c372223ce1c230"),
+            (0, 1000, 100, "7f2f9250c57ac568ed631e2b94370b24ca06b7913a4d4b8c9370359c2135d02c"),
+        ],
+    )
+    def test_chi_coefficients_unchanged(self, g, d, k, digest):
+        wire = ",".join(hilbert_polynomial(SecantInstance(g, d, k)).to_strings())
+        assert hashlib.sha256(wire.encode()).hexdigest() == digest
 
 
 class TestDualValues:
