@@ -22,10 +22,10 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from .cohomology import (
-    CohomologyTable,
+    TABLE_PARAMS,
     LineBundleClass,
     canonical_twist_table,
     line_bundle_table,
@@ -33,10 +33,9 @@ from .cohomology import (
     wedge_secant_table,
 )
 from .errors import DomainError, SecantInvError, UsageError
-from .exactmath import QPolynomial, format_rational
+from .exactmath import QPolynomial
 from .secant_core import (
     _MAX_ORDER,
-    HilbertSeries,
     SecantInstance,
     canonical_h0,
     generator_count,
@@ -51,31 +50,16 @@ FORMATS = ("text", "json", "csv", "latex")
 # Admission limit: the most grid cells one sweep may request.
 _MAX_SWEEP_CELLS = 10_000
 
+
 def latex_rational(value: Fraction) -> str:
+    """A nonnegative rational in LaTeX."""
     if value.denominator == 1:
         return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    return f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
 
 
 def latex_polynomial(poly: QPolynomial) -> str:
-    if poly.is_zero:
-        return "0"
-    parts: list[str] = []
-    for power in range(poly.degree, -1, -1):
-        c = poly.coefficient(power)
-        if c == 0:
-            continue
-        if power == 0:
-            body = latex_rational(abs(c))
-        else:
-            t = "t" if power == 1 else f"t^{{{power}}}"
-            body = t if abs(c) == 1 else f"{latex_rational(abs(c))} {t}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(parts)
+    return poly.spell(latex_rational, lambda n: "t" if n == 1 else f"t^{{{n}}}", " ")
 
 
 _LATEX_ESCAPES = str.maketrans(
@@ -93,112 +77,128 @@ def _tabular(columns: str, head: Sequence[str], rows) -> str:
     for row in rows:
         lines.append(" & ".join(str(cell).translate(_LATEX_ESCAPES) for cell in row) + " \\\\")
     lines.append("\\end{tabular}")
-    return "\n".join(lines)
+    return _lines(lines)
+
+
+def _csv(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
 class Document:
-    """A fully rendered result: one payload per output format, the lines
-    ``run`` writes to stderr beside it, and the exit code it returns."""
+    """A command's result: its JSON payload, the layout that renders the
+    payload in the other formats, the lines ``run`` writes to stderr beside
+    it, and the exit code it returns."""
 
-    json_payload: dict
-    csv_rows: tuple[tuple[str, ...], ...]  # the header row first
-    text_body: str
-    latex_body: str
+    payload: dict
+    layout: Callable[[dict, str], str]
     notes: tuple[str, ...] = ()
     exit_code: int = 0
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.json_payload, indent=2, sort_keys=True) + "\n"
-        if fmt == "csv":
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\n").writerows(self.csv_rows)
-            return buffer.getvalue()
-        if fmt == "latex":
-            return self.latex_body + "\n"
-        return self.text_body + "\n"
+            return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
+        return self.layout(self.payload, fmt)
 
 
-def _scalar_document(value: int) -> Document:
-    text = str(value)
-    return Document(
-        json_payload={"value": text},
-        csv_rows=(("key", "value"), ("value", text)),
-        text_body=text,
-        latex_body=text,
-    )
+# --- layouts: (payload, fmt) -> document, for every format but json --------
+
+def _scalar_layout(payload: dict, fmt: str) -> str:
+    if fmt == "csv":
+        return _csv([("key", "value"), ("value", payload["value"])])
+    return payload["value"] + "\n"
 
 
-def _polynomial_document(poly: QPolynomial) -> Document:
-    return Document(
-        json_payload={"coefficients": poly.to_strings()},
-        csv_rows=(("power", "coefficient"), *(
-            (str(power), format_rational(c)) for power, c in enumerate(poly.coefficients)
-        )),
-        text_body=str(poly),
-        latex_body=latex_polynomial(poly),
-    )
+def _polynomial_layout(payload: dict, fmt: str) -> str:
+    if fmt == "csv":
+        return _csv([("power", "coefficient"), *enumerate(payload["coefficients"])])
+    poly = QPolynomial.from_strings(payload["coefficients"])
+    return _lines([latex_polynomial(poly) if fmt == "latex" else str(poly)])
 
 
-def _series_document(series: HilbertSeries) -> Document:
-    rows = [
-        (f"numerator[{power}]", format_rational(c))
-        for power, c in enumerate(series.numerator.coefficients)
-    ]
-    rows.append(("krull_dim", str(series.krull_dim)))
-    return Document(
-        json_payload=series.to_json_dict(),
-        csv_rows=(("key", "value"), *rows),
-        text_body=(
-            f"numerator = {series.numerator}\nkrull_dim = {series.krull_dim}"
-        ),
-        latex_body=(
-            f"\\frac{{{latex_polynomial(series.numerator)}}}"
-            f"{{(1 - t)^{{{series.krull_dim}}}}}"
-        ),
-    )
+def _series_layout(payload: dict, fmt: str) -> str:
+    krull_dim = payload["krull_dim"]
+    if fmt == "csv":
+        rows = [(f"numerator[{power}]", c) for power, c in enumerate(payload["numerator"])]
+        return _csv([("key", "value"), *rows, ("krull_dim", krull_dim)])
+    numerator = QPolynomial.from_strings(payload["numerator"])
+    if fmt == "latex":
+        return _lines([f"\\frac{{{latex_polynomial(numerator)}}}{{(1 - t)^{{{krull_dim}}}}}"])
+    return _lines([f"numerator = {numerator}", f"krull_dim = {krull_dim}"])
 
 
-def _table_document(table: CohomologyTable) -> Document:
-    rows = table.csv_rows()
-    shown = [(i, twist or "-", dim) for i, twist, dim in rows]
-    text_lines = [f"family {table.family}"]
-    text_lines += [f"{key} = {value}" for key, value in table.params]
-    text_lines.append("i  l  dim")
-    text_lines += [f"{i:<2} {twist:<2} {dim}" for i, twist, dim in shown]
-    return Document(
-        json_payload=table.to_json_dict(),
-        csv_rows=(("i", "l", "dim"), *rows),
-        text_body="\n".join(text_lines),
-        latex_body=_tabular("rrr", ("i", "\\ell", "h^i"), shown),
-    )
+def _table_layout(payload: dict, fmt: str) -> str:
+    rows = [(e["i"], e["l"], e["dim"]) for e in payload["entries"]]
+    if fmt == "csv":
+        return _csv([("i", "l", "dim"), *rows])  # a missing twist is an empty cell
+    shown = [(i, "-" if twist is None else twist, dim) for i, twist, dim in rows]
+    if fmt == "latex":
+        return _tabular("rrr", ("i", "\\ell", "h^i"), shown)
+    family, params = payload["family"], payload["params"]
+    return _lines([
+        f"family {family}",
+        *(f"{key} = {params[key]}" for key in TABLE_PARAMS[family]),
+        "i  l  dim",
+        *(f"{i:<2} {twist:<2} {dim}" for i, twist, dim in shown),
+    ])
 
 
-def _flatten_json(prefix: str, value, out: list[tuple[str, str]]) -> None:
+def _flatten_json(prefix: str, value):
+    """(dotted key, value) pairs of the leaves of a JSON value, keys sorted;
+    null and booleans keep their JSON spelling."""
     if isinstance(value, dict):
         for key in sorted(value):
-            _flatten_json(f"{prefix}.{key}" if prefix else key, value[key], out)
+            yield from _flatten_json(f"{prefix}.{key}" if prefix else key, value[key])
     elif isinstance(value, list):
         for index, item in enumerate(value):
-            _flatten_json(f"{prefix}[{index}]", item, out)
-    elif value is None:
-        out.append((prefix, "null"))
-    elif isinstance(value, bool):
-        out.append((prefix, "true" if value else "false"))
+            yield from _flatten_json(f"{prefix}[{index}]", item)
     else:
-        out.append((prefix, str(value)))
+        yield prefix, json.dumps(value) if value is None or isinstance(value, bool) else str(value)
 
 
-def _record_document(payload: dict) -> Document:
-    flat: list[tuple[str, str]] = []
-    _flatten_json("", payload, flat)
-    return Document(
-        json_payload=payload,
-        csv_rows=(("key", "value"), *flat),
-        text_body="\n".join(f"{key} = {value}" for key, value in flat),
-        latex_body=_tabular("ll", (), flat),
-    )
+def _record_layout(payload: dict, fmt: str) -> str:
+    flat = list(_flatten_json("", payload))
+    if fmt == "csv":
+        return _csv([("key", "value"), *flat])
+    if fmt == "latex":
+        return _tabular("ll", (), flat)
+    return _lines(f"{key} = {value}" for key, value in flat)
+
+
+def _sweep_layout(payload: dict, fmt: str) -> str:
+    rows = [(c["genus"], c["degree"], c["order"], c["value"]) for c in payload["cells"]]
+    if fmt == "csv":
+        return _csv([("genus", "degree", "order", "value"), *rows])
+    if fmt == "latex":
+        return _tabular("rrrr", ("g", "d", "k", "value"), rows)
+    return _lines([
+        f"{'g':>3} {'d':>4} {'k':>3}  {payload['invariant']}",
+        *(f"{g:>3} {d:>4} {k:>3}  {value}" for g, d, k, value in rows),
+    ])
+
+
+_CHECK_COLUMNS = ("name", "status", "seconds", "detail")
+
+
+def _validate_layout(payload: dict, fmt: str) -> str:
+    checks = payload["checks"]
+    rows = [(c["name"], c["status"], f"{c['seconds']:.3f}", c["detail"]) for c in checks]
+    if fmt == "csv":
+        return _csv([_CHECK_COLUMNS, *rows])
+    if fmt == "latex":
+        return _tabular("llrl", _CHECK_COLUMNS, rows)
+    total = sum(c["seconds"] for c in checks)
+    return _lines([
+        *(f"{status}  {name:<45} {seconds:>8}s" + (f"  [{detail}]" if detail else "")
+          for name, status, seconds, detail in rows),
+        f"{payload['passed']} passed, {payload['failed']} failed in {total:.3f}s",
+    ])
 
 
 # --- argument plumbing ------------------------------------------------------
@@ -324,23 +324,25 @@ def _instance(args: argparse.Namespace) -> SecantInstance:
 
 
 def _handle_hilbert(args) -> Document:
-    return _polynomial_document(hilbert_polynomial(_instance(args)))
+    return Document({"coefficients": hilbert_polynomial(_instance(args)).to_strings()},
+                    _polynomial_layout)
 
 
 def _handle_series(args) -> Document:
-    return _series_document(hilbert_series(_instance(args)))
+    return Document(hilbert_series(_instance(args)).to_json_dict(), _series_layout)
 
 
 def _handle_degree(args) -> Document:
-    return _scalar_document(variety_degree(_instance(args)))
+    return Document({"value": str(variety_degree(_instance(args)))}, _scalar_layout)
 
 
 def _handle_generators(args) -> Document:
-    return _scalar_document(generator_count(_instance(args)))
+    return Document({"value": str(generator_count(_instance(args)))}, _scalar_layout)
 
 
 def _handle_coh_sym(args) -> Document:
-    return _table_document(sym_secant_table(_instance(args), args.twist))
+    table = sym_secant_table(_instance(args), args.twist)
+    return Document(table.to_json_dict(), _table_layout)
 
 
 def _handle_coh_wedge(args) -> Document:
@@ -351,24 +353,29 @@ def _handle_coh_wedge(args) -> Document:
         product = LineBundleClass.from_degree(
             args.genus, args.degree_of_l + args.degree_of_m, args.h1_of_lm
         )
-    return _table_document(wedge_secant_table(args.points, args.twist, bundle, twisting, product))
+    table = wedge_secant_table(args.points, args.twist, bundle, twisting, product)
+    return Document(table.to_json_dict(), _table_layout)
 
 
 def _handle_coh_canonical(args) -> Document:
-    return _table_document(canonical_twist_table(_instance(args), args.twist))
+    table = canonical_twist_table(_instance(args), args.twist)
+    return Document(table.to_json_dict(), _table_layout)
 
 
 def _handle_coh_line(args) -> Document:
     bundle = LineBundleClass.from_degree(args.genus, args.degree, args.h1_of_l)
-    return _table_document(line_bundle_table(args.family, args.points, bundle))
+    table = line_bundle_table(args.family, args.points, bundle)
+    return Document(table.to_json_dict(), _table_layout)
 
 
 def _handle_tangent_cone(args) -> Document:
-    return _record_document(tangent_cone_at(_instance(args), args.stratum).to_json_dict())
+    descriptor = tangent_cone_at(_instance(args), args.stratum)
+    return Document(descriptor.to_json_dict(), _record_layout)
 
 
 def _handle_cone(args) -> Document:
-    return _record_document(cone_over_secant(_instance(args), args.vertex_count).to_json_dict())
+    cone = cone_over_secant(_instance(args), args.vertex_count)
+    return Document(cone.to_json_dict(), _record_layout)
 
 
 def _handle_sweep(args) -> Document:
@@ -405,16 +412,7 @@ def _handle_sweep(args) -> Document:
     }
     if args.invariant == "hilbert":
         payload["twist"] = args.twist
-    rows = tuple(tuple(map(str, cell)) for cell in cells)
-    text_lines = [f"{'g':>3} {'d':>4} {'k':>3}  {args.invariant}"]
-    text_lines += [f"{g:>3} {d:>4} {k:>3}  {value}" for g, d, k, value in cells]
-    return Document(
-        json_payload=payload,
-        csv_rows=(("genus", "degree", "order", "value"), *rows),
-        text_body="\n".join(text_lines),
-        latex_body=_tabular("rrrr", ("g", "d", "k", "value"), rows),
-        notes=tuple(notes),
-    )
+    return Document(payload, _sweep_layout, notes=tuple(notes))
 
 
 def _handle_validate(args) -> Document:
@@ -422,27 +420,10 @@ def _handle_validate(args) -> Document:
 
     results = run_catalogue()
     failed = sum(not r.passed for r in results)
-    head = ("name", "status", "seconds", "detail")
-    rows = tuple((r.name, "PASS" if r.passed else "FAIL", f"{r.seconds:.3f}", r.detail)
-                 for r in results)
-    text_lines = [
-        f"{status}  {name:<45} {seconds:>8}s" + (f"  [{detail}]" if detail else "")
-        for name, status, seconds, detail in rows
-    ]
-    total = sum(r.seconds for r in results)
-    text_lines.append(f"{len(rows) - failed} passed, {failed} failed in {total:.3f}s")
-    return Document(
-        json_payload={
-            "checks": [dict(zip(head, row), seconds=round(r.seconds, 3))
-                       for row, r in zip(rows, results)],
-            "passed": len(rows) - failed,
-            "failed": failed,
-        },
-        csv_rows=(head, *rows),
-        text_body="\n".join(text_lines),
-        latex_body=_tabular("llrl", head, rows),
-        exit_code=1 if failed else 0,
-    )
+    checks = [{"name": r.name, "status": "PASS" if r.passed else "FAIL",
+               "seconds": round(r.seconds, 3), "detail": r.detail} for r in results]
+    return Document({"checks": checks, "passed": len(results) - failed, "failed": failed},
+                    _validate_layout, exit_code=1 if failed else 0)
 
 
 _HANDLERS = {
@@ -477,6 +458,16 @@ def _write_out(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write_stream(out: TextIO, text: str) -> None:
+    """Write ``text`` to ``run``'s stdout and flush it, so that a closed pipe
+    is reported here rather than at interpreter exit."""
+    try:
+        out.write(text)
+        out.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
     """Parse and execute one request; returns the process exit code."""
@@ -489,20 +480,27 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
         rendered = document.render(args.format)
         if args.out:
             _write_out(args.out, rendered)
+        for note in document.notes:
+            print(note, file=err)
+        if not args.out:
+            _write_stream(out, rendered)
     except SystemExit as exc:  # --help prints its text and exits 0
         return int(exc.code or 0)
     except SecantInvError as exc:
         print(f"error: {exc.code}: {exc}", file=err)
         return exc.exit_code
-    for note in document.notes:
-        print(note, file=err)
-    if not args.out:
-        out.write(rendered)
     return document.exit_code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run has reported the failed write; what is still buffered goes to
+        # the null device, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

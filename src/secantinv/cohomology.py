@@ -20,7 +20,7 @@ All dimensions are exact nonnegative integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import binomial
@@ -316,15 +316,22 @@ class CohomologyTable:
             ],
         }
 
-    def csv_rows(self) -> list[tuple[str, str, str]]:
-        return [
-            (str(e.i), "" if e.twist is None else str(e.twist), str(e.dim))
-            for e in self.entries
-        ]
+
+# The parameter names of each table family, in the order its tables list them.
+_SECANT_PARAMS = ("genus", "degree", "order", "twist")
+_LINE_PARAMS = ("points", "genus", "bundle_degree", "h0", "h1")
+TABLE_PARAMS = {
+    "N": _LINE_PARAMS,
+    "T": _LINE_PARAMS,
+    "SymE": _SECANT_PARAMS,
+    "WedgeE": ("points", "twist", "genus", "bundle_degree", "bundle_h1",
+               "twisting_degree", "twisting_h1"),
+    "CanonicalSymE": _SECANT_PARAMS,
+}
 
 
-def _params(items: Iterable[tuple[str, object]]) -> tuple[tuple[str, str], ...]:
-    return tuple((key, str(value)) for key, value in items)
+def _params(family: str, *values: object) -> tuple[tuple[str, str], ...]:
+    return tuple(zip(TABLE_PARAMS[family], map(str, values)))
 
 
 def line_bundle_table(
@@ -344,15 +351,7 @@ def line_bundle_table(
     )
     return CohomologyTable(
         family,
-        _params(
-            [
-                ("points", points),
-                ("genus", bundle.genus),
-                ("bundle_degree", bundle.degree),
-                ("h0", bundle.h0),
-                ("h1", bundle.h1),
-            ]
-        ),
+        _params(family, points, bundle.genus, bundle.degree, bundle.h0, bundle.h1),
         entries,
     )
 
@@ -363,16 +362,7 @@ def sym_secant_table(inst: SecantInstance, twist: int) -> CohomologyTable:
         for i in range(inst.order + 2)
     )
     return CohomologyTable(
-        "SymE",
-        _params(
-            [
-                ("genus", inst.genus),
-                ("degree", inst.degree),
-                ("order", inst.order),
-                ("twist", twist),
-            ]
-        ),
-        entries,
+        "SymE", _params("SymE", inst.genus, inst.degree, inst.order, twist), entries
     )
 
 
@@ -392,17 +382,8 @@ def wedge_secant_table(
     )
     return CohomologyTable(
         "WedgeE",
-        _params(
-            [
-                ("points", points),
-                ("twist", twist),
-                ("genus", bundle.genus),
-                ("bundle_degree", bundle.degree),
-                ("bundle_h1", bundle.h1),
-                ("twisting_degree", twisting.degree),
-                ("twisting_h1", twisting.h1),
-            ]
-        ),
+        _params("WedgeE", points, twist, bundle.genus, bundle.degree, bundle.h1,
+                twisting.degree, twisting.h1),
         entries,
     )
 
@@ -414,13 +395,6 @@ def canonical_twist_table(inst: SecantInstance, twist: int) -> CohomologyTable:
     )
     return CohomologyTable(
         "CanonicalSymE",
-        _params(
-            [
-                ("genus", inst.genus),
-                ("degree", inst.degree),
-                ("order", inst.order),
-                ("twist", twist),
-            ]
-        ),
+        _params("CanonicalSymE", inst.genus, inst.degree, inst.order, twist),
         entries,
     )

@@ -7,8 +7,9 @@ dense ascending list of rational coefficients in the twist variable t.
 
 The two hot paths run on Python ints and build one ``Fraction`` per result:
 evaluation (:meth:`QPolynomial.__call__`) is Horner's rule over the common
-denominator of the coefficients, and :func:`lagrange_interpolate` runs a
-fraction-free divided-difference table and expands it in integers.
+denominator of the coefficients, scaled once per polynomial, and
+:func:`lagrange_interpolate` runs a fraction-free divided-difference table
+and expands it in integers.
 
 Serialization contract used across the package: a rational renders as the
 string ``"p/q"`` with q > 0 and gcd(|p|, q) = 1, or plain ``"p"`` when q = 1;
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -118,6 +120,14 @@ class QPolynomial:
             return self.coefficients[power]
         return Fraction(0)
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """The common denominator D of the coefficients, and D times each
+        coefficient, highest degree first; built once per polynomial."""
+        common = math.lcm(*(c.denominator for c in self.coefficients))
+        return common, tuple(c.numerator * (common // c.denominator)
+                             for c in reversed(self.coefficients))
+
     def __call__(self, point: RationalLike) -> Fraction:
         """Value at ``point``: Horner's rule on integers, over the common
         denominator D of the coefficients and with the point p/q
@@ -126,11 +136,11 @@ class QPolynomial:
             return Fraction(0)
         x = Fraction(point)
         p, q = x.numerator, x.denominator
-        common = math.lcm(*(c.denominator for c in self.coefficients))
+        common, scaled = self._integer_form
         acc = 0
         q_power = 1  # q^j at the coefficient j places below the top
-        for c in reversed(self.coefficients):
-            acc = acc * p + c.numerator * (common // c.denominator) * q_power
+        for c in scaled:
+            acc = acc * p + c * q_power
             q_power *= q
         return Fraction(acc, common * (q_power // q))
 
@@ -188,9 +198,15 @@ class QPolynomial:
     def from_strings(cls, items: Iterable[str]) -> "QPolynomial":
         return cls(tuple(parse_rational(s) for s in items))
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
+    def spell(
+        self,
+        coefficient: Callable[[Fraction], str],
+        monomial: Callable[[int], str],
+        times: str,
+    ) -> str:
+        """The terms from the highest degree down, as in "2*t^2 - t + 1/2":
+        ``coefficient`` spells each magnitude, ``monomial`` each t^n with
+        n >= 1, and ``times`` joins a magnitude other than 1 to its monomial."""
         parts: list[str] = []
         for power in range(self.degree, -1, -1):
             c = self.coefficients[power]
@@ -199,12 +215,16 @@ class QPolynomial:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if power == 0:
-                body = format_rational(mag)
+                body = coefficient(mag)
+            elif mag == 1:
+                body = monomial(power)
             else:
-                t = "t" if power == 1 else f"t^{power}"
-                body = t if mag == 1 else f"{format_rational(mag)}*{t}"
+                body = f"{coefficient(mag)}{times}{monomial(power)}"
             parts.append(f"{sign} {body}" if parts else (f"-{body}" if c < 0 else body))
-        return " ".join(parts)
+        return " ".join(parts) or "0"
+
+    def __str__(self) -> str:
+        return self.spell(format_rational, lambda n: "t" if n == 1 else f"t^{n}", "*")
 
 
 def binomial_poly(shift: int, lower: int) -> QPolynomial:

@@ -1,5 +1,8 @@
+import errno
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from math import comb
@@ -7,7 +10,7 @@ from math import comb
 import pytest
 
 from secantinv import QPolynomial, SecantInstance, hilbert_polynomial, hilbert_series
-from secantinv.cli import run
+from secantinv.cli import _HANDLERS, FORMATS, Document, build_parser, run
 from secantinv.validation import CheckResult
 
 
@@ -507,6 +510,107 @@ _PINNED = [
         "exactmath/pascal-grid & PASS & 0.012 &  \\\\\n"
         "cli/determinism & FAIL & 1.500 & x\\_1 \\& \\{y\\} \\\\\n\\end{tabular}\n", "",
         id="validate-latex"),
+    pytest.param(
+        "hilbert --genus 2 --degree 9 --order 1 --format text", 0,
+        "13/3*t^3 - 4*t^2 + 29/3*t - 2\n", "",
+        id="hilbert-text"),
+    pytest.param(
+        "hilbert --genus 2 --degree 9 --order 1 --format csv", 0,
+        "power,coefficient\n0,-2\n1,29/3\n2,-4\n3,13/3\n", "",
+        id="hilbert-csv"),
+    pytest.param(
+        "hilbert --genus 2 --degree 9 --order 1 --format latex", 0,
+        "\\frac{13}{3} t^{3} - 4 t^{2} + \\frac{29}{3} t - 2\n", "",
+        id="hilbert-latex"),
+    pytest.param(
+        "series --genus 2 --degree 9 --order 1 --format text", 0,
+        "numerator = 3*t^4 + 8*t^3 + 10*t^2 + 4*t + 1\nkrull_dim = 4\n", "",
+        id="series-text"),
+    pytest.param(
+        "degree --genus 2 --degree 9 --order 1 --format text", 0,
+        "26\n", "",
+        id="degree-text"),
+    pytest.param(
+        "generators --genus 0 --degree 6 --order 1 --format text", 0,
+        "10\n", "",
+        id="generators-text"),
+    pytest.param(
+        "generators --genus 0 --degree 6 --order 1 --format csv", 0,
+        "key,value\nvalue,10\n", "",
+        id="generators-csv"),
+    pytest.param(
+        "generators --genus 0 --degree 6 --order 1 --format latex", 0,
+        "10\n", "",
+        id="generators-latex"),
+    pytest.param(
+        "coh-sym --genus 1 --degree 7 --order 1 --twist 0 --format csv", 0,
+        "i,l,dim\n0,0,1\n1,0,1\n2,0,0\n", "",
+        id="coh-sym-csv"),
+    pytest.param(
+        "coh-wedge --genus 1 --points 2 --twist 1 --degree-of-L 5 --degree-of-M 4"
+        " --format text", 0,
+        "family WedgeE\npoints = 2\ntwist = 1\ngenus = 1\nbundle_degree = 5\n"
+        "bundle_h1 = 0\ntwisting_degree = 4\ntwisting_h1 = 0\ni  l  dim\n0  1  36\n"
+        "1  1  0\n2  1  0\n", "",
+        id="coh-wedge-text"),
+    pytest.param(
+        "coh-wedge --genus 1 --points 2 --twist 1 --degree-of-L 5 --degree-of-M 4"
+        " --format csv", 0,
+        "i,l,dim\n0,1,36\n1,1,0\n2,1,0\n", "",
+        id="coh-wedge-csv"),
+    pytest.param(
+        "coh-wedge --genus 1 --points 2 --twist 1 --degree-of-L 5 --degree-of-M 4"
+        " --format latex", 0,
+        "\\begin{tabular}{rrr}\ni & \\ell & h^i \\\\\n0 & 1 & 36 \\\\\n1 & 1 & 0 \\\\\n"
+        "2 & 1 & 0 \\\\\n\\end{tabular}\n", "",
+        id="coh-wedge-latex"),
+    pytest.param(
+        "coh-canonical --genus 2 --degree 9 --order 1 --twist 1 --format text", 0,
+        "family CanonicalSymE\ngenus = 2\ndegree = 9\norder = 1\ntwist = 1\ni  l  dim\n"
+        "0  1  20\n1  1  10\n2  1  0\n", "",
+        id="coh-canonical-text"),
+    pytest.param(
+        "coh-canonical --genus 2 --degree 9 --order 1 --twist 1 --format csv", 0,
+        "i,l,dim\n0,1,20\n1,1,10\n2,1,0\n", "",
+        id="coh-canonical-csv"),
+    pytest.param(
+        "coh-canonical --genus 2 --degree 9 --order 1 --twist 1 --format latex", 0,
+        "\\begin{tabular}{rrr}\ni & \\ell & h^i \\\\\n0 & 1 & 20 \\\\\n1 & 1 & 10 \\\\\n"
+        "2 & 1 & 0 \\\\\n\\end{tabular}\n", "",
+        id="coh-canonical-latex"),
+    pytest.param(
+        "coh-line --family N --points 3 --genus 2 --degree 5 --format text", 0,
+        "family N\npoints = 3\ngenus = 2\nbundle_degree = 5\nh0 = 4\nh1 = 0\ni  l  dim\n"
+        "0  -  4\n1  -  0\n2  -  0\n3  -  0\n", "",
+        id="coh-line-text"),
+    pytest.param(
+        "coh-line --family N --points 3 --genus 2 --degree 5 --format csv", 0,
+        "i,l,dim\n0,,4\n1,,0\n2,,0\n3,,0\n", "",
+        id="coh-line-csv"),
+    pytest.param(
+        "coh-line --family N --points 3 --genus 2 --degree 5 --format latex", 0,
+        "\\begin{tabular}{rrr}\ni & \\ell & h^i \\\\\n0 & - & 4 \\\\\n1 & - & 0 \\\\\n"
+        "2 & - & 0 \\\\\n3 & - & 0 \\\\\n\\end{tabular}\n", "",
+        id="coh-line-latex"),
+    pytest.param(
+        "tangent-cone --genus 0 --degree 6 --order 2 --stratum 0 --format csv", 0,
+        "key,value\nambient.degree,6\nambient.genus,0\nambient.order,2\nbase.degree,4\n"
+        "base.genus,0\nbase.order,1\nbase_is_fano,true\ncone_proj_dim,4\nmultiplicity,3\n"
+        "series.krull_dim,5\nseries.numerator[0],1\nseries.numerator[1],1\n"
+        "series.numerator[2],1\nstratum,0\nvertex_proj_dim,0\n", "",
+        id="tangent-cone-csv"),
+    pytest.param(
+        "cone --genus 0 --degree 4 --order 1 --vertex-count 2 --format csv", 0,
+        "key,value\ninstance.degree,4\ninstance.genus,0\ninstance.order,1\n"
+        "series.krull_dim,6\nseries.numerator[0],1\nseries.numerator[1],1\n"
+        "series.numerator[2],1\nvertex_count,2\n", "",
+        id="cone-csv"),
+    pytest.param(
+        "sweep --genus-range 0:1 --degree-range 4:5 --order-range 0:1"
+        " --invariant degree --format csv", 0,
+        "genus,degree,order,value\n0,4,0,4\n0,4,1,3\n0,5,0,5\n0,5,1,6\n1,4,0,4\n1,5,0,5\n"
+        "1,5,1,5\n", "skip: genus 1 degree 4 order 1: degree 4 violates d >= 2g+2k+1 = 5\n",
+        id="sweep-csv"),
 ]
 
 
@@ -514,6 +618,62 @@ _PINNED = [
 def test_pinned_bytes(monkeypatch, argv, code, stdout, stderr):
     monkeypatch.setattr("secantinv.validation.run_catalogue", lambda: list(_STUB_CHECKS))
     assert invoke(argv.split()) == (code, stdout, stderr)
+
+
+# One JSON document per layout, pinned by the sha256 of its bytes.
+_PINNED_JSON = [
+    pytest.param("degree --genus 2 --degree 9 --order 1 --format json", 0,
+                 "5f1033ad1fc5cf2e69696fa8ecf9bd3c3e573ea1f02a6bf2dd9789994f52e96f",
+                 id="degree-json"),
+    pytest.param("hilbert --genus 2 --degree 9 --order 1 --format json", 0,
+                 "01b57e5c65734c00a754455f0f9516726adecb83f67886f74971a912c7690852",
+                 id="hilbert-json"),
+    pytest.param("series --genus 2 --degree 9 --order 1 --format json", 0,
+                 "51a154ad6600a05ed1a495ab8a0926e5452a81edf2d2b1c676f87cab0707d3e7",
+                 id="series-json"),
+    pytest.param("coh-line --family N --points 3 --genus 2 --degree 5 --format json", 0,
+                 "7337f1c189fc0feb513ce0fffb661547059ea7fd5fb91c4ed0a7a9e74992817e",
+                 id="coh-line-json"),
+    pytest.param("tangent-cone --genus 2 --degree 9 --order 1 --stratum 1 --format json", 0,
+                 "37f4e11cab3897c00d47fb7611715edc069778e12df51cdcf777f2d8e8eadac9",
+                 id="tangent-cone-smooth-json"),
+    pytest.param("sweep --genus-range 0:0 --degree-range 4:4 --order-range 0:1"
+                 " --invariant hilbert --twist 2 --format json", 0,
+                 "5ab699156fd7fa5a4fd0fb13cd48eba3f7ef277e829189ef8ddcd21872b5f434",
+                 id="sweep-hilbert-json"),
+    pytest.param("validate --format json", 1,
+                 "8ad9cc1baaa797f419e5fe37d19de8e1021bbd387de48c258162db3458b14b29",
+                 id="validate-json"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", _PINNED_JSON)
+def test_pinned_json_digests(monkeypatch, argv, code, digest):
+    monkeypatch.setattr("secantinv.validation.run_catalogue", lambda: list(_STUB_CHECKS))
+    rc, out, err = invoke(argv.split())
+    assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", [
+    "degree --genus 2 --degree 9 --order 1",
+    "hilbert --genus 2 --degree 9 --order 1",
+    "series --genus 2 --degree 9 --order 1",
+    "coh-wedge --genus 1 --points 2 --twist 1 --degree-of-L 5 --degree-of-M 4",
+    "coh-line --family N --points 3 --genus 2 --degree 5",
+    "tangent-cone --genus 0 --degree 6 --order 2 --stratum 0",
+    "sweep --genus-range 0:1 --degree-range 4:5 --order-range 0:1 --invariant hilbert",
+    "validate",
+], ids=["scalar", "polynomial", "series", "table", "table-no-twist", "record", "sweep",
+        "validate"])
+def test_every_format_is_a_view_of_the_json(monkeypatch, argv, fmt):
+    """A document rebuilt from its own JSON output renders the same bytes in
+    every format, so the layouts read nothing but JSON data."""
+    monkeypatch.setattr("secantinv.validation.run_catalogue", lambda: list(_STUB_CHECKS))
+    args = build_parser().parse_args(argv.split())
+    document = _HANDLERS[args.command](args)
+    rebuilt = Document(json.loads(document.render("json")), document.layout)
+    assert rebuilt.render(fmt) == document.render(fmt)
 
 
 class TestOneErrorLine:
@@ -551,3 +711,34 @@ class TestOneErrorLine:
         assert code == 0
         assert path.read_text(encoding="utf-8") == "26\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_stdout_write_in_process(self):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        err = io.StringIO()
+        code = run(["degree", "--genus", "2", "--degree", "9", "--order", "1"],
+                   stdout=ClosedPipe(), stderr=err)
+        assert (code, err.getvalue()) == (2, "error: usage: cannot write stdout: Broken pipe\n")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_stdout_pipe_with_no_reader(self, unbuffered):
+        """Buffered, the failure shows only when stdout is flushed; unbuffered,
+        at the write.  Either way: one error line, exit 2, and nothing more at
+        interpreter exit."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so its write fails every time
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "secantinv.cli", "degree",
+                 "--genus", "2", "--degree", "9", "--order", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == "error: usage: cannot write stdout: Broken pipe\n"

@@ -84,6 +84,14 @@ class TestQPolynomial:
         p = QPolynomial([1, 2, Fraction(3, 2), Fraction(1, 2)])
         assert p(2) == 1 + 4 + 6 + 4
 
+    def test_evaluation_leaves_equality_hash_and_repr(self):
+        p = QPolynomial([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)])
+        q = QPolynomial.from_strings(p.to_strings())
+        assert p(Fraction(7, 3)) == Fraction(1, 2) - Fraction(7, 4) + Fraction(245, 54)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert p(-2) == q(-2)  # q scaled on its first call, p reuses its scaling
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
     def test_divide_by_linear(self):
         p = QPolynomial([-6, 11, -6, 1])  # (t-1)(t-2)(t-3)
         quotient, remainder = p.divide_by_linear(3)
