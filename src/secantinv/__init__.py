@@ -6,118 +6,21 @@ functions, and series of the k-th secant variety; its degree and minimal
 generator count; cohomology dimension tables for symmetric and exterior
 powers of secant sheaves on symmetric products; and tangent-cone data
 (vertex, base, multiplicity, series) at every singular stratum.
+
+Each layer's ``__all__`` is the one list of its public names; the package
+re-exports them all.
 """
 
-from .errors import (
-    AmbiguousBundle,
-    DomainError,
-    DuplicateNode,
-    GeneratorDegreeUnknown,
-    InternalCheckError,
-    InternalMismatch,
-    NonvanishingTail,
-    SecantInvError,
-    StratumOutOfRange,
-    UsageError,
-)
-from .exactmath import (
-    QPolynomial,
-    Rational,
-    binomial,
-    binomial_poly,
-    finite_difference_numerator,
-    format_rational,
-    lagrange_interpolate,
-    parse_rational,
-)
-from .secant_core import (
-    HilbertSeries,
-    NodeValues,
-    SecantInstance,
-    canonical_h0,
-    generator_count,
-    hilbert_function,
-    hilbert_polynomial,
-    hilbert_series,
-    node_values,
-    variety_degree,
-)
-from .cohomology import (
-    CohomologyTable,
-    LineBundleClass,
-    TableEntry,
-    canonical_twist_table,
-    coh_canonical_twist,
-    coh_descent_line,
-    coh_determinant_line,
-    coh_sym_secant_sheaf,
-    coh_wedge_secant_sheaf,
-    higher_direct_image_ranks,
-    line_bundle_table,
-    sym_dim,
-    sym_secant_table,
-    wedge_dim,
-    wedge_secant_table,
-)
-from .tangent_geometry import (
-    SMOOTH_POINT,
-    ConeOverSecant,
-    TangentConeDescriptor,
-    cone_over_secant,
-    multiplicity_along_stratum,
-    tangent_cone_at,
-)
+from . import errors, exactmath, secant_core, cohomology, tangent_geometry
+from .errors import *
+from .exactmath import *
+from .secant_core import *
+from .cohomology import *
+from .tangent_geometry import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousBundle",
-    "CohomologyTable",
-    "ConeOverSecant",
-    "DomainError",
-    "DuplicateNode",
-    "GeneratorDegreeUnknown",
-    "HilbertSeries",
-    "InternalCheckError",
-    "InternalMismatch",
-    "LineBundleClass",
-    "NodeValues",
-    "NonvanishingTail",
-    "QPolynomial",
-    "Rational",
-    "SMOOTH_POINT",
-    "SecantInstance",
-    "SecantInvError",
-    "StratumOutOfRange",
-    "TableEntry",
-    "TangentConeDescriptor",
-    "UsageError",
-    "binomial",
-    "binomial_poly",
-    "canonical_h0",
-    "canonical_twist_table",
-    "coh_canonical_twist",
-    "coh_descent_line",
-    "coh_determinant_line",
-    "coh_sym_secant_sheaf",
-    "coh_wedge_secant_sheaf",
-    "cone_over_secant",
-    "finite_difference_numerator",
-    "format_rational",
-    "generator_count",
-    "higher_direct_image_ranks",
-    "hilbert_function",
-    "hilbert_polynomial",
-    "hilbert_series",
-    "lagrange_interpolate",
-    "line_bundle_table",
-    "multiplicity_along_stratum",
-    "node_values",
-    "parse_rational",
-    "sym_dim",
-    "sym_secant_table",
-    "tangent_cone_at",
-    "variety_degree",
-    "wedge_dim",
-    "wedge_secant_table",
-]
+__all__ = sorted(
+    errors.__all__ + exactmath.__all__ + secant_core.__all__
+    + cohomology.__all__ + tangent_geometry.__all__
+)

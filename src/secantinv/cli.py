@@ -12,7 +12,6 @@ Exit codes: 0 success; 1 failed validation; 2 usage or domain errors
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
@@ -228,13 +227,22 @@ def _add_instance_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int, required=True)
 
 
+class _HelpRequested(Exception):
+    """``--help`` was given; the one argument is the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a bad command line as :class:`UsageError`, so that it gets the
     one ``error: usage: <message>`` line instead of argparse's usage block
-    on the process's stderr.  Subparsers inherit the class."""
+    on the process's stderr, and ``--help`` as :class:`_HelpRequested`, so
+    that ``run`` writes the text like any document.  Subparsers inherit the
+    class."""
 
     def error(self, message: str):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +412,6 @@ def _handle_sweep(args) -> Document:
                 cells.append((g, d, k, value))
     if not cells:
         raise DomainError("sweep grid contains no valid instances")
-    cells.sort()
     payload = {
         "invariant": args.invariant,
         "cells": [{"genus": g, "degree": d, "order": k, "value": str(value)}
@@ -474,8 +481,11 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        with contextlib.redirect_stdout(out):  # where --help prints
+        try:
             args = build_parser().parse_args(list(argv))
+        except _HelpRequested as request:
+            _write_stream(out, request.args[0])
+            return 0
         document = _HANDLERS[args.command](args)
         rendered = document.render(args.format)
         if args.out:
@@ -484,8 +494,6 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
             print(note, file=err)
         if not args.out:
             _write_stream(out, rendered)
-    except SystemExit as exc:  # --help prints its text and exits 0
-        return int(exc.code or 0)
     except SecantInvError as exc:
         print(f"error: {exc.code}: {exc}", file=err)
         return exc.exit_code

@@ -330,8 +330,14 @@ TABLE_PARAMS = {
 }
 
 
-def _params(family: str, *values: object) -> tuple[tuple[str, str], ...]:
-    return tuple(zip(TABLE_PARAMS[family], map(str, values)))
+def _table(family: str, values: tuple, twist: Optional[int], dims) -> CohomologyTable:
+    """The ``family`` table with parameter ``values`` in the order of
+    ``TABLE_PARAMS[family]`` and entries h^i = dims[i], i = 0, 1, ..."""
+    return CohomologyTable(
+        family,
+        tuple(zip(TABLE_PARAMS[family], map(str, values))),
+        tuple(TableEntry(i, twist, dim) for i, dim in enumerate(dims)),
+    )
 
 
 def line_bundle_table(
@@ -346,24 +352,14 @@ def line_bundle_table(
         op = coh_descent_line
     else:
         raise DomainError(f"unknown line-bundle family {family!r}, expected N or T")
-    entries = tuple(
-        TableEntry(i, None, op(points, bundle, i)) for i in range(points + 1)
-    )
-    return CohomologyTable(
-        family,
-        _params(family, points, bundle.genus, bundle.degree, bundle.h0, bundle.h1),
-        entries,
-    )
+    dims = (op(points, bundle, i) for i in range(points + 1))
+    return _table(family, (points, bundle.genus, bundle.degree, bundle.h0, bundle.h1),
+                  None, dims)
 
 
 def sym_secant_table(inst: SecantInstance, twist: int) -> CohomologyTable:
-    entries = tuple(
-        TableEntry(i, twist, coh_sym_secant_sheaf(inst, twist, i))
-        for i in range(inst.order + 2)
-    )
-    return CohomologyTable(
-        "SymE", _params("SymE", inst.genus, inst.degree, inst.order, twist), entries
-    )
+    dims = (coh_sym_secant_sheaf(inst, twist, i) for i in range(inst.order + 2))
+    return _table("SymE", (inst.genus, inst.degree, inst.order, twist), twist, dims)
 
 
 def wedge_secant_table(
@@ -374,27 +370,13 @@ def wedge_secant_table(
     product: Optional[LineBundleClass] = None,
 ) -> CohomologyTable:
     _check_points(points)
-    entries = tuple(
-        TableEntry(
-            i, twist, coh_wedge_secant_sheaf(points, twist, bundle, twisting, i, product)
-        )
-        for i in range(points + 1)
-    )
-    return CohomologyTable(
-        "WedgeE",
-        _params("WedgeE", points, twist, bundle.genus, bundle.degree, bundle.h1,
-                twisting.degree, twisting.h1),
-        entries,
-    )
+    dims = (coh_wedge_secant_sheaf(points, twist, bundle, twisting, i, product)
+            for i in range(points + 1))
+    values = (points, twist, bundle.genus, bundle.degree, bundle.h1,
+              twisting.degree, twisting.h1)
+    return _table("WedgeE", values, twist, dims)
 
 
 def canonical_twist_table(inst: SecantInstance, twist: int) -> CohomologyTable:
-    entries = tuple(
-        TableEntry(i, twist, coh_canonical_twist(inst, twist, i))
-        for i in range(inst.order + 2)
-    )
-    return CohomologyTable(
-        "CanonicalSymE",
-        _params("CanonicalSymE", inst.genus, inst.degree, inst.order, twist),
-        entries,
-    )
+    dims = (coh_canonical_twist(inst, twist, i) for i in range(inst.order + 2))
+    return _table("CanonicalSymE", (inst.genus, inst.degree, inst.order, twist), twist, dims)

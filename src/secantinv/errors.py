@@ -11,6 +11,19 @@ Every class carries its wire ``code``, the ``<code>`` of the CLI's
 
 from __future__ import annotations
 
+__all__ = [
+    "SecantInvError",
+    "UsageError",
+    "InternalCheckError",
+    "DomainError",
+    "StratumOutOfRange",
+    "AmbiguousBundle",
+    "GeneratorDegreeUnknown",
+    "DuplicateNode",
+    "NonvanishingTail",
+    "InternalMismatch",
+]
+
 
 class SecantInvError(Exception):
     """Base class for every error raised by this package."""

@@ -676,6 +676,9 @@ def test_every_format_is_a_view_of_the_json(monkeypatch, argv, fmt):
     assert rebuilt.render(fmt) == document.render(fmt)
 
 
+_DEGREE_ARGV = ["degree", "--genus", "2", "--degree", "9", "--order", "1"]
+
+
 class TestOneErrorLine:
     @pytest.mark.parametrize("argv", [
         ["hilbert", "--genus", "0", "--degree", "4", "--order", "1", "--frobnicate"],
@@ -722,11 +725,18 @@ class TestOneErrorLine:
                    stdout=ClosedPipe(), stderr=err)
         assert (code, err.getvalue()) == (2, "error: usage: cannot write stdout: Broken pipe\n")
 
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    def test_stdout_pipe_with_no_reader(self, unbuffered):
+    @pytest.mark.parametrize("argv, unbuffered", [
+        pytest.param(_DEGREE_ARGV, True, id="unbuffered"),
+        pytest.param(_DEGREE_ARGV, False, id="buffered"),
+        pytest.param(["--help"], True, id="help-unbuffered"),
+        pytest.param(["--help"], False, id="help-buffered"),
+        pytest.param(["hilbert", "--help"], True, id="hilbert-help-unbuffered"),
+        pytest.param(["hilbert", "--help"], False, id="hilbert-help-buffered"),
+    ])
+    def test_stdout_pipe_with_no_reader(self, argv, unbuffered):
         """Buffered, the failure shows only when stdout is flushed; unbuffered,
         at the write.  Either way: one error line, exit 2, and nothing more at
-        interpreter exit."""
+        interpreter exit.  The help text takes the same path as a document."""
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -734,8 +744,7 @@ class TestOneErrorLine:
         os.close(read_end)  # before the child starts, so its write fails every time
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "secantinv.cli", "degree",
-                 "--genus", "2", "--degree", "9", "--order", "1"],
+                [sys.executable, "-m", "secantinv.cli", *argv],
                 stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
             )
         finally:
