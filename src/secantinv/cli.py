@@ -399,6 +399,8 @@ def _handle_sweep(args) -> Document:
         raise DomainError(f"sweep grid has {requested} cells, more than the maximum {_MAX_SWEEP_CELLS}")
     if args.order_range[-1] > _MAX_ORDER:
         raise DomainError(f"order {args.order_range[-1]} exceeds the maximum order {_MAX_ORDER}")
+    if args.invariant == "hilbert" and args.twist < 0:
+        raise DomainError(f"twist {args.twist} must be nonnegative for --invariant hilbert")
     cells = []
     notes = []
     for g in args.genus_range:

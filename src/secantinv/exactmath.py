@@ -83,7 +83,7 @@ class QPolynomial:
     coefficients: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = [Fraction(c) for c in self.coefficients]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in self.coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -257,10 +257,9 @@ def lagrange_interpolate(
     """
     if not nodes:
         raise ValueError("lagrange_interpolate requires at least one node")
-    xs = [Fraction(x) for x, _ in nodes]
-    ys = [Fraction(y) for _, y in nodes]
-    if len(set(xs)) != len(xs):
-        raise DuplicateNode("interpolation abscissae must be pairwise distinct")
+    # ints and Fractions are read as they are; anything else ("1/2", say) is parsed
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x, _ in nodes]
+    ys = [y if isinstance(y, (int, Fraction)) else Fraction(y) for _, y in nodes]
 
     # With u_j = x_scale * x_j and v_j = y_scale * y_j, the result is
     # p(x_scale * t) / y_scale for the integer-node interpolant p.
@@ -268,6 +267,8 @@ def lagrange_interpolate(
     y_scale = math.lcm(*(y.denominator for y in ys))
     us = [x.numerator * (x_scale // x.denominator) for x in xs]
     n = len(nodes)
+    if len(set(us)) != n:  # u_j = u_m exactly when x_j = x_m
+        raise DuplicateNode("interpolation abscissae must be pairwise distinct")
     scale = math.lcm(*(math.prod(us[j] - us[m] for m in range(n) if m != j) for j in range(n)))
 
     # Divided-difference table, in place: coef[i] ends as scale * v[u_0, ..., u_i].

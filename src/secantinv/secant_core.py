@@ -14,8 +14,10 @@ sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
 (g, d).  The node values are integers, built bottom-up in one table: row j
 holds chi_j at twists -k..j+1, its negative twists come from the rows below
 it, and the vanishing (2j+2)-th forward difference of chi_j extends it below
-twist -j.  The polynomial is then computed twice, by a closed form and by
-Newton interpolation, both in integer arithmetic with one ``Fraction`` per
+twist -j, but only down to twist -(j + min(g, k-j)), the lowest twist at
+which a later row reads it (so at g = 0 no row is extended).  The
+polynomial is then computed twice, by a closed form and by Newton
+interpolation, both in integer arithmetic with one ``Fraction`` per
 coefficient, and the two must agree exactly.  Orders above 200 are refused.
 
 The twist variable is written t throughout; s is reserved for stratum
@@ -168,23 +170,25 @@ class HilbertSeries:
 @lru_cache(maxsize=None)
 def _node_table(genus: int, degree: int, order: int) -> tuple[int, ...]:
     """Node values at twists -k..k+1, as a tuple indexed by twist + k: the
-    last row of a table whose row j holds chi_j at twists -k..j+1."""
+    last row of a table whose row j holds chi_j at twists -k..j+1.
+
+    Row j is read only by rows j+1..j+min(g, k-j), at twists no lower than
+    -(j + min(g, k-j)), so it is filled down to that twist and left 0 below
+    it; the last row is filled to -k."""
     g, d, k = genus, degree, order
+    positive = [binomial(d - g + twist, twist) for twist in range(1, k + 2)]
+    weights = [(-1) ** i * binomial(g, i) for i in range(1, min(g, k) + 1)]
     rows: list[list[int]] = []
     for j in range(k + 1):
-        row = [0] * (k + j + 2)
-        row[k] = 1 - binomial(g + j, j + 1)
-        for twist in range(1, j + 2):
-            row[twist + k] = binomial(d - g + twist, twist)
-        for twist in range(-j, 0):
+        row = [0] * k + [1 - binomial(g + j, j + 1)] + positive[:j + 1]
+        for index in range(k - j, k):
             # The alternating sum over i = 0..j of (-1)^i C(g,i) chi_{j-i}(twist)
             # vanishes at these twists, so the i = 0 term is minus the rest.
-            row[twist + k] = -sum((-1) ** i * binomial(g, i) * rows[j - i][twist + k]
-                                  for i in range(1, min(g, j) + 1))
+            row[index] = -sum(w * lower[index] for w, lower in zip(weights, reversed(rows)))
         # chi_j has degree 2j+1, so its (2j+2)-th forward difference vanishes;
-        # that extends the row from twist -j down to -k.
+        # that extends the row from twist -j down to -(j + min(g, k-j)).
         steps = [(-1) ** m * binomial(2 * j + 2, m) for m in range(1, 2 * j + 3)]
-        for index in range(k - j - 1, -1, -1):
+        for index in range(k - j - 1, k - j - 1 - min(g, k - j), -1):
             row[index] = -sum(w * row[index + m] for m, w in enumerate(steps, 1))
         rows.append(row)
     return tuple(rows[k])

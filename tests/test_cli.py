@@ -230,6 +230,14 @@ class TestSweep:
         assert code == 0
         assert out.splitlines()[1] == "0,4,1,34"
 
+    def test_hilbert_sweep_refuses_negative_twist(self):
+        # refused once for the twist, not cell by cell as an empty grid
+        argv = ["sweep", "--genus-range", "0", "--degree-range", "5",
+                "--order-range", "0:1", "--invariant", "hilbert", "--twist", "-1"]
+        assert invoke(argv) == (
+            2, "", "error: domain: twist -1 must be nonnegative for --invariant hilbert\n"
+        )
+
     def test_bad_range_syntax_exit_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "secantinv.cli", "sweep",

@@ -100,6 +100,25 @@ class TestQPolynomial:
         _, remainder = p.divide_by_linear(4)
         assert remainder == p(4) != 0
 
+    def test_int_fraction_and_string_coefficients_agree(self):
+        polys = [
+            QPolynomial([1, 0, -2, 0, 0]),
+            QPolynomial([Fraction(1), Fraction(0), Fraction(-4, 2), Fraction(0)]),
+            QPolynomial(["1", "0", "-2", "0/3"]),
+        ]
+        for p in polys:
+            assert p == polys[0] and hash(p) == hash(polys[0]) and repr(p) == repr(polys[0])
+            assert p.coefficients == (Fraction(1), Fraction(0), Fraction(-2))
+            assert all(type(c) is Fraction for c in p.coefficients)
+
+    def test_fraction_subclass_is_stored_as_fraction(self):
+        class Tagged(Fraction):
+            pass
+
+        p = QPolynomial([Tagged(1, 2), Tagged(0)])
+        assert p.coefficients == (Fraction(1, 2),)
+        assert type(p.coefficients[0]) is Fraction
+
     def test_string_round_trip(self):
         p = QPolynomial([1, Fraction(-3, 7), 0, 5])
         assert QPolynomial.from_strings(p.to_strings()) == p
@@ -160,6 +179,19 @@ class TestLagrange:
     def test_duplicate_abscissa_rejected(self):
         with pytest.raises(DuplicateNode):
             lagrange_interpolate([(1, 2), (1, 3)])
+
+    @pytest.mark.parametrize("a, b", [
+        (1, Fraction(2, 2)),
+        (Fraction(1, 2), Fraction(2, 4)),
+        ("1/2", Fraction(1, 2)),
+    ])
+    def test_equal_abscissae_of_mixed_types_rejected(self, a, b):
+        with pytest.raises(DuplicateNode):
+            lagrange_interpolate([(a, 2), (0, 1), (b, 3)])
+
+    def test_string_nodes_are_parsed(self):
+        poly = lagrange_interpolate([("1/2", 1), (1, "3"), (Fraction(5, 3), 0)])
+        assert poly.to_strings() == ["-65/14", "209/14", "-51/7"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

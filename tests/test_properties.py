@@ -24,6 +24,7 @@ from secantinv import (
     hilbert_polynomial,
     hilbert_series,
     lagrange_interpolate,
+    node_values,
     tangent_cone_at,
     variety_degree,
 )
@@ -34,13 +35,14 @@ from oracles import (
     hypersurface_chi,
     order1_chi,
 )
+from test_secant_core import full_depth_node_table
 
 checked = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 
 @st.composite
 def instances(draw, genus=st.integers(0, 6), order=st.integers(0, 5)):
-    """(g, d, k) with g <= 6, k <= 5 and d in [2g+2k+1, 2g+2k+20]."""
+    """(g, d, k) with g <= 6 and k <= 5 unless given, and d in [2g+2k+1, 2g+2k+20]."""
     g, k = draw(genus), draw(order)
     lo = 2 * g + 2 * k + 1
     return SecantInstance(g, draw(st.integers(lo, lo + 19)), k)
@@ -75,6 +77,12 @@ def test_hypersurface_cases(g, k):
     hyp_degree = k + 2 if g == 0 else d
     for m in range(-3, 9):
         assert chi(m) == hypersurface_chi(m, 2 * k + 2, hyp_degree)
+
+
+@checked
+@given(instances(genus=st.integers(0, 12), order=st.integers(0, 12)))
+def test_truncated_node_rows_match_full_depth_table(inst):
+    assert node_values(inst).entries == full_depth_node_table(inst.genus, inst.degree, inst.order)
 
 
 @checked

@@ -29,6 +29,27 @@ from oracles import (
 )
 
 
+def full_depth_node_table(genus, degree, order):
+    """Reference node table: every row extended by forward differences all
+    the way down to twist -k, as the engine did before it stopped each row at
+    the lowest twist a later row reads."""
+    g, d, k = genus, degree, order
+    rows = []
+    for j in range(k + 1):
+        row = [0] * (k + j + 2)
+        row[k] = 1 - binomial(g + j, j + 1)
+        for twist in range(1, j + 2):
+            row[twist + k] = binomial(d - g + twist, twist)
+        for twist in range(-j, 0):
+            row[twist + k] = -sum((-1) ** i * binomial(g, i) * rows[j - i][twist + k]
+                                  for i in range(1, min(g, j) + 1))
+        steps = [(-1) ** m * binomial(2 * j + 2, m) for m in range(1, 2 * j + 3)]
+        for index in range(k - j - 1, -1, -1):
+            row[index] = -sum(w * row[index + m] for m, w in enumerate(steps, 1))
+        rows.append(row)
+    return tuple(rows[k])
+
+
 def valid_grid(max_genus, max_order, degree_span):
     for g in range(max_genus + 1):
         for k in range(max_order + 1):
@@ -110,6 +131,16 @@ class TestNodeValues:
     def test_entries_are_ints(self):
         for inst in [*valid_grid(3, 3, 2), SecantInstance(3, 40, 12)]:
             assert all(type(v) is int for v in node_values(inst).entries)
+
+    # g = 0 extends no row; g = k-1, k, k+1 and g >> k sit at and past the
+    # point where the depth min(g, k-j) of row j stops depending on g
+    @pytest.mark.parametrize("g, d, k", [
+        *((g, d, k) for k in (1, 2, 5, 12) for g in sorted({0, k - 1, k, k + 1, k + 40})
+          for d in (2 * g + 2 * k + 1, 2 * g + 2 * k + 6)),
+        (0, 1000, 100),
+    ])
+    def test_truncated_rows_match_full_depth_table(self, g, d, k):
+        assert node_values(SecantInstance(g, d, k)).entries == full_depth_node_table(g, d, k)
 
     def test_node_consistency_with_polynomial(self):
         for inst in valid_grid(3, 3, 4):
