@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence, TextIO
 from .cohomology import (
     TABLE_PARAMS,
     LineBundleClass,
+    _check_twist,
     canonical_twist_table,
     line_bundle_table,
     sym_secant_table,
@@ -401,6 +402,8 @@ def _handle_sweep(args) -> Document:
         raise DomainError(f"order {args.order_range[-1]} exceeds the maximum order {_MAX_ORDER}")
     if args.invariant == "hilbert" and args.twist < 0:
         raise DomainError(f"twist {args.twist} must be nonnegative for --invariant hilbert")
+    if args.invariant == "hilbert":
+        _check_twist(args.twist)
     cells = []
     notes = []
     for g in args.genus_range:

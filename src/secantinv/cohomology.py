@@ -149,6 +149,17 @@ def _check_points(points: int) -> None:
         raise DomainError(f"points {points} exceeds the maximum {_MAX_POINTS}")
 
 
+# Admission limit: the largest twist accepted by the secant-sheaf tables and
+# the Hilbert sweep.  At this twist, degree 1000 and the largest admitted order
+# a value has under 2,000 digits, inside Python's 4,300-digit int-to-str limit.
+_MAX_TWIST = 10**6
+
+
+def _check_twist(twist: int) -> None:
+    if twist > _MAX_TWIST:
+        raise DomainError(f"twist {twist} exceeds the maximum {_MAX_TWIST}")
+
+
 def coh_determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the determinant of the
     tautological sheaf of ``bundle``: wedge^{m-i} h0 times sym^i h1."""
@@ -358,6 +369,7 @@ def line_bundle_table(
 
 
 def sym_secant_table(inst: SecantInstance, twist: int) -> CohomologyTable:
+    _check_twist(twist)
     dims = (coh_sym_secant_sheaf(inst, twist, i) for i in range(inst.order + 2))
     return _table("SymE", (inst.genus, inst.degree, inst.order, twist), twist, dims)
 
@@ -378,5 +390,6 @@ def wedge_secant_table(
 
 
 def canonical_twist_table(inst: SecantInstance, twist: int) -> CohomologyTable:
+    _check_twist(twist)
     dims = (coh_canonical_twist(inst, twist, i) for i in range(inst.order + 2))
     return _table("CanonicalSymE", (inst.genus, inst.degree, inst.order, twist), twist, dims)

@@ -16,9 +16,10 @@ holds chi_j at twists -k..j+1, its negative twists come from the rows below
 it, and the vanishing (2j+2)-th forward difference of chi_j extends it below
 twist -j, but only down to twist -(j + min(g, k-j)), the lowest twist at
 which a later row reads it (so at g = 0 no row is extended).  The
-polynomial is then computed twice, by a closed form and by Newton
-interpolation, both in integer arithmetic with one ``Fraction`` per
-coefficient, and the two must agree exactly.  Orders above 200 are refused.
+polynomial is then computed twice, by Gregory-Newton forward differences
+and by Newton divided differences, both in integer arithmetic with one
+``Fraction`` per coefficient, and the two must agree exactly.  Orders above
+200 are refused.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -187,49 +188,38 @@ def _node_table(genus: int, degree: int, order: int) -> tuple[int, ...]:
             row[index] = -sum(w * lower[index] for w, lower in zip(weights, reversed(rows)))
         # chi_j has degree 2j+1, so its (2j+2)-th forward difference vanishes;
         # that extends the row from twist -j down to -(j + min(g, k-j)).
-        steps = [(-1) ** m * binomial(2 * j + 2, m) for m in range(1, 2 * j + 3)]
-        for index in range(k - j - 1, k - j - 1 - min(g, k - j), -1):
-            row[index] = -sum(w * row[index + m] for m, w in enumerate(steps, 1))
+        depth = min(g, k - j)
+        if depth:
+            steps = [(-1) ** m * binomial(2 * j + 2, m) for m in range(1, 2 * j + 3)]
+            for index in range(k - j - 1, k - j - 1 - depth, -1):
+                row[index] = -sum(w * row[index + m] for m, w in enumerate(steps, 1))
         rows.append(row)
     return tuple(rows[k])
 
 
 def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
-    """chi as the explicit node-weighted sum, in integers.
+    """chi by the Gregory-Newton forward-difference formula, in integers.
 
-    Each node twist l contributes (-1)^{k+1-l} a_l C(2k+2, k+l) (k+2-l)
-    times the exact quotient of C(t+k, 2k+2) by its linear factor (t - l);
-    the quotient is exact because every node twist is a root of C(t+k, 2k+2).
-    The sum is built on (2k+2)! C(t+k, 2k+2) = prod_{i=0..2k+1} (t+k-i),
-    whose coefficients are integers, by integer synthetic division, and
-    divided by (2k+2)! once per coefficient.
+    On the unit-spaced node twists -k..k+1, chi(t) = sum_{m=0..n} D_m C(t+k, m)
+    with n = 2k+1 and D_m the m-th forward difference of the node values at
+    twist -k.  Times n!, the sum nests as S_m = D_m n!/m! + (t+k-m) S_{m+1},
+    from S_{n+1} = 0 down to S_0 = n! chi(t), whose coefficients are integers
+    and are divided by n! once each.
     """
     k = order
-    size = 2 * k + 2
-    nodes = _node_table(genus, degree, order)
-    base = [1]  # ascending coefficients of prod (t+k-i) over the factors so far
-    for i in range(size):
-        root = k - i
-        shifted = [0, *base]
-        for power, c in enumerate(base):
-            shifted[power] += root * c
-        base = shifted
-    total = [0] * size
-    for index, a in enumerate(nodes):
-        twist = index - k
-        quotient = []  # descending coefficients
-        acc = 0
-        for c in reversed(base):
-            acc = acc * twist + c
-            quotient.append(acc)
-        if quotient.pop() != 0:
-            raise InternalMismatch(
-                f"C(t+{k}, {size}) is not divisible by (t - {twist})"
-            )
-        weight = (-1) ** (k + 1 - twist) * a * binomial(size, k + twist) * (k + 2 - twist)
-        for power, c in enumerate(reversed(quotient)):
-            total[power] += weight * c
-    denominator = math.factorial(size)
+    n = 2 * k + 1
+    row = _node_table(genus, degree, order)
+    differences = []  # D_0..D_n
+    for _ in range(n + 1):
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    total: list[int] = []  # ascending coefficients of S_m, from m = n down
+    scale = 1  # n!/m!
+    for m in range(n, -1, -1):
+        total = [(k - m) * c + b for c, b in zip([*total, 0], [0, *total])]
+        total[0] += differences[m] * scale
+        scale *= m
+    denominator = math.factorial(n)
     return QPolynomial(tuple(Fraction(c, denominator) for c in total))
 
 

@@ -274,6 +274,16 @@ class TestAdmissionLimits:
         (["sweep", "--genus-range", "0", "--degree-range", "1:10", "--order-range", "0:201",
           "--invariant", "degree"],
          "order 201 exceeds the maximum order 200"),
+        # a larger twist overflowed Python's int-to-str digit limit while
+        # rendering, and printed a traceback
+        (["coh-sym", "--genus", "0", "--degree", "20", "--order", "8", "--twist", str(10**300)],
+         f"twist {10**300} exceeds the maximum 1000000"),
+        (["coh-canonical", "--genus", "1", "--degree", "22", "--order", "8",
+          "--twist", str(10**300)],
+         f"twist {10**300} exceeds the maximum 1000000"),
+        (["sweep", "--genus-range", "0", "--degree-range", "20", "--order-range", "8",
+          "--invariant", "hilbert", "--twist", str(10**300)],
+         f"twist {10**300} exceeds the maximum 1000000"),
     ])
     def test_rejected_before_any_work(self, argv, message):
         assert invoke(argv) == (2, "", f"error: domain: {message}\n")
@@ -281,6 +291,17 @@ class TestAdmissionLimits:
     def test_largest_admitted_order(self):
         code, out, err = invoke(["degree", "--genus", "0", "--degree", "1000", "--order", "200"])
         assert (code, out, err) == (0, f"{comb(800, 201)}\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["coh-sym", "--genus", "0", "--degree", "20", "--order", "8"],
+        ["coh-canonical", "--genus", "1", "--degree", "22", "--order", "8"],
+        ["sweep", "--genus-range", "0", "--degree-range", "20", "--order-range", "8",
+         "--invariant", "hilbert"],
+    ], ids=lambda argv: argv[0])
+    def test_largest_admitted_twist(self, argv):
+        code, out, err = invoke([*argv, "--twist", "1000000"])
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestOutputPlumbing:

@@ -401,6 +401,23 @@ class TestPinnedChi:
         assert hashlib.sha256(wire.encode()).hexdigest() == digest
 
 
+class TestPinnedChiTopOrder:
+    """The same digest at the largest admitted order with g > 0, where every
+    node row but the last is extended, recorded with the engine that built
+    the closed form from the product polynomial by synthetic division."""
+
+    @pytest.mark.parametrize(
+        "g, d, k, digest",
+        [
+            (5, 1000, 200, "a004b33059eba08c730cfd1814057b7013dd4ab9119151642ad438c1065ca7bd"),
+            (30, 1000, 200, "f42481c01448dcfca1db701d920d2b47c526b53681ccccbef53a03b4abbe53e4"),
+        ],
+    )
+    def test_chi_coefficients_unchanged(self, g, d, k, digest):
+        wire = ",".join(hilbert_polynomial(SecantInstance(g, d, k)).to_strings())
+        assert hashlib.sha256(wire.encode()).hexdigest() == digest
+
+
 class TestDualValues:
     def test_negated_chi_nonnegative_at_negative_twists(self):
         # at twist 0 the value is canonical_h0 - 1, which is -1 when g = 0,
