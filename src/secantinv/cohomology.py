@@ -160,6 +160,20 @@ def _check_twist(twist: int) -> None:
         raise DomainError(f"twist {twist} exceeds the maximum {_MAX_TWIST}")
 
 
+# Admission limit: the largest h0 or h1 of a bundle given to the line-bundle
+# and wedge tables.  With the largest admitted points a value then has at
+# most about 3,700 digits (line bundle) or 4,030 (wedge, all four factors at
+# the limit), inside Python's 4,300-digit int-to-str limit.
+_MAX_SECTIONS = 10**6
+
+
+def _check_sections(**bundles: LineBundleClass) -> None:
+    for name, bundle in bundles.items():
+        for label, value in (("h0", bundle.h0), ("h1", bundle.h1)):
+            if value > _MAX_SECTIONS:
+                raise DomainError(f"{label} of {name} exceeds the maximum {_MAX_SECTIONS}")
+
+
 def coh_determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the determinant of the
     tautological sheaf of ``bundle``: wedge^{m-i} h0 times sym^i h1."""
@@ -357,6 +371,7 @@ def line_bundle_table(
     """Table of h^i, i = 0..points, for the "N" (determinant) or "T"
     (descent) line-bundle family on the points-th symmetric product."""
     _check_points(points)
+    _check_sections(L=bundle)
     if family == "N":
         op = coh_determinant_line
     elif family == "T":
@@ -382,6 +397,8 @@ def wedge_secant_table(
     product: Optional[LineBundleClass] = None,
 ) -> CohomologyTable:
     _check_points(points)
+    product = _product_class(bundle, twisting, product)
+    _check_sections(L=bundle, M=twisting, LM=product)
     dims = (coh_wedge_secant_sheaf(points, twist, bundle, twisting, i, product)
             for i in range(points + 1))
     values = (points, twist, bundle.genus, bundle.degree, bundle.h1,

@@ -248,12 +248,14 @@ def lagrange_interpolate(
 
     Computed by Newton divided differences, fraction-free: the abscissae
     and ordinates are scaled to integers u_j and v_j, and with
-    M = lcm_j prod_{m != j} (u_j - u_m) every divided difference of the v_j
-    times M is an integer, so the table needs only exact integer division
-    (a nonzero remainder raises :class:`InternalMismatch`).  The Newton form
-    is expanded in integers, and one ``Fraction`` is built per coefficient,
-    so the result reproduces every node ordinate with zero error.  Raises
-    :class:`DuplicateNode` if two abscissae coincide.
+    M = prod_{r=1..n-1} lcm_i (u_i - u_{i-r}) every divided difference of the
+    v_j times M is an integer (by induction over the columns, as the column
+    of order r divides only by the spacings u_i - u_{i-r}), so the table
+    needs only exact integer division (a nonzero remainder raises
+    :class:`InternalMismatch`).  The Newton form is expanded in integers,
+    and one ``Fraction`` is built per coefficient, so the result reproduces
+    every node ordinate with zero error.  Raises :class:`DuplicateNode` if
+    two abscissae coincide.
     """
     if not nodes:
         raise ValueError("lagrange_interpolate requires at least one node")
@@ -269,7 +271,7 @@ def lagrange_interpolate(
     n = len(nodes)
     if len(set(us)) != n:  # u_j = u_m exactly when x_j = x_m
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
-    scale = math.lcm(*(math.prod(us[j] - us[m] for m in range(n) if m != j) for j in range(n)))
+    scale = math.prod(math.lcm(*(us[i] - us[i - r] for i in range(r, n))) for r in range(1, n))
 
     # Divided-difference table, in place: coef[i] ends as scale * v[u_0, ..., u_i].
     coef = [y.numerator * (y_scale // y.denominator) * scale for y in ys]

@@ -11,11 +11,14 @@ chi is pinned down by its values at the 2k+2 twists -k..k+1 (the node
 values): 1 - C(g+k, k+1) at twist 0, C(d-g+l, l) at twists 1..k+1, and at
 negative twists the value forced by the vanishing of the alternating sum
 sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
-(g, d).  The node values are integers, built bottom-up in one table: row j
-holds chi_j at twists -k..j+1, its negative twists come from the rows below
-it, and the vanishing (2j+2)-th forward difference of chi_j extends it below
-twist -j, but only down to twist -(j + min(g, k-j)), the lowest twist at
-which a later row reads it (so at g = 0 no row is extended).  The
+(g, d).  The node values are integers, built bottom-up in one table per
+(g, d), shared by all orders and grown on demand: row j holds chi_j from
+twist j+1 downward, its twists -1..-j come from the rows below it, and the
+vanishing (2j+2)-th forward difference of chi_j extends it below twist -j,
+but only down to twist -(j + min(g, K-j)) for the highest order K asked
+for so far, the lowest twist at which a later row reads it (so at g = 0 no
+row is extended).  Asking for a higher order deepens the rows built so far
+and appends new ones; asking for a lower order reads its row.  The
 polynomial is then computed twice, by Gregory-Newton forward differences
 and by Newton divided differences, both in integer arithmetic with one
 ``Fraction`` per coefficient, and the two must agree exactly.  Orders above
@@ -28,6 +31,8 @@ indices (see :mod:`secantinv.tangent_geometry`).
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -169,32 +174,63 @@ class HilbertSeries:
 
 
 @lru_cache(maxsize=None)
-def _node_table(genus: int, degree: int, order: int) -> tuple[int, ...]:
-    """Node values at twists -k..k+1, as a tuple indexed by twist + k: the
-    last row of a table whose row j holds chi_j at twists -k..j+1.
+def _node_table(genus: int, degree: int) -> list[list[int]]:
+    """The node table of (g, d), shared by every order: row j holds chi_j
+    from twist j+1 downward, so it is grown by appending rows and by
+    appending lower twists to a row.  It starts empty; :func:`_node_values`
+    grows it."""
+    return []
+
+
+# Growth of a node table is check-then-append on a list every thread of the
+# process shares, so it runs under one lock; reading a built row needs none.
+_GROWTH = threading.Lock()
+
+
+def _node_values(genus: int, degree: int, order: int) -> tuple[int, ...]:
+    """Node values of order k at twists -k..k+1, as a tuple indexed by
+    twist + k, read from the (g, d) node table after growing it to order k.
 
     Row j is read only by rows j+1..j+min(g, k-j), at twists no lower than
-    -(j + min(g, k-j)), so it is filled down to that twist and left 0 below
-    it; the last row is filled to -k."""
+    -(j + min(g, k-j)), so growth to order k deepens it down to that twist.
+    A row joins the table only once it is complete, and a row is deepened
+    only by appending exact values, so an interrupted growth leaves a table
+    that is still consistent."""
     g, d, k = genus, degree, order
-    positive = [binomial(d - g + twist, twist) for twist in range(1, k + 2)]
-    weights = [(-1) ** i * binomial(g, i) for i in range(1, min(g, k) + 1)]
-    rows: list[list[int]] = []
-    for j in range(k + 1):
-        row = [0] * k + [1 - binomial(g + j, j + 1)] + positive[:j + 1]
-        for index in range(k - j, k):
-            # The alternating sum over i = 0..j of (-1)^i C(g,i) chi_{j-i}(twist)
-            # vanishes at these twists, so the i = 0 term is minus the rest.
-            row[index] = -sum(w * lower[index] for w, lower in zip(weights, reversed(rows)))
-        # chi_j has degree 2j+1, so its (2j+2)-th forward difference vanishes;
-        # that extends the row from twist -j down to -(j + min(g, k-j)).
-        depth = min(g, k - j)
-        if depth:
-            steps = [(-1) ** m * binomial(2 * j + 2, m) for m in range(1, 2 * j + 3)]
-            for index in range(k - j - 1, k - j - 1 - depth, -1):
-                row[index] = -sum(w * row[index + m] for m, w in enumerate(steps, 1))
-        rows.append(row)
-    return tuple(rows[k])
+    rows = _node_table(g, d)
+    if k >= len(rows):
+        with _GROWTH:
+            for j, row in enumerate(rows):
+                _deepen(row, j, 2 * j + 2 + min(g, k - j))
+            weights = [(-1) ** i * binomial(g, i) for i in range(1, min(g, k) + 1)]
+            for j in range(len(rows), k + 1):
+                # The positive values C(d-g+t, t) at twists j..1 are the first
+                # j entries of row j-1, shared rather than rebuilt.
+                row = [binomial(d - g + j + 1, j + 1), *(rows[j - 1][:j] if j else ()),
+                       1 - binomial(g + j, j + 1)]
+                # The alternating sum over i = 0..j of (-1)^i C(g,i) chi_{j-i}
+                # vanishes at twists -1..-j, so the i = 0 term is minus the
+                # rest; chi_{j-i} at those twists is entries j-i+2..2j-i+1 of
+                # row j-i.
+                negative = [0] * j
+                for i, w in enumerate(weights[:j], 1):
+                    lower = rows[j - i][j - i + 2:2 * j - i + 2]
+                    negative = [v - w * u for v, u in zip(negative, lower)]
+                row += negative
+                _deepen(row, j, 2 * j + 2 + min(g, k - j))
+                rows.append(row)
+    return tuple(rows[k][2 * k + 1::-1])
+
+
+def _deepen(row: list[int], j: int, length: int) -> None:
+    """Append lower twists to row j until it has ``length`` entries: chi_j
+    has degree 2j+1, so its (2j+2)-th forward difference vanishes and each
+    value is fixed by the 2j+2 above it."""
+    if len(row) >= length:
+        return
+    steps = [(-1) ** m * math.comb(2 * j + 2, m) for m in range(2 * j + 2, 0, -1)]
+    while len(row) < length:
+        row.append(-sum(map(operator.mul, steps, row[-len(steps):])))
 
 
 def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
@@ -208,7 +244,7 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
     """
     k = order
     n = 2 * k + 1
-    row = _node_table(genus, degree, order)
+    row = _node_values(genus, degree, order)
     differences = []  # D_0..D_n
     for _ in range(n + 1):
         differences.append(row[0])
@@ -227,7 +263,7 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
 def _chi(genus: int, degree: int, order: int) -> QPolynomial:
     """Memoized Hilbert polynomial, computed by both routes and compared."""
     closed = _closed_form(genus, degree, order)
-    nodes = _node_table(genus, degree, order)
+    nodes = _node_values(genus, degree, order)
     interpolated = lagrange_interpolate(
         [(index - order, value) for index, value in enumerate(nodes)]
     )
@@ -246,7 +282,7 @@ def _chi(genus: int, degree: int, order: int) -> QPolynomial:
 
 def node_values(inst: SecantInstance) -> NodeValues:
     """The 2k+2 chi values that determine the Hilbert polynomial."""
-    return NodeValues(inst.order, _node_table(inst.genus, inst.degree, inst.order))
+    return NodeValues(inst.order, _node_values(inst.genus, inst.degree, inst.order))
 
 
 def hilbert_polynomial(inst: SecantInstance) -> QPolynomial:

@@ -284,6 +284,21 @@ class TestAdmissionLimits:
         (["sweep", "--genus-range", "0", "--degree-range", "20", "--order-range", "8",
           "--invariant", "hilbert", "--twist", str(10**300)],
          f"twist {10**300} exceeds the maximum 1000000"),
+        # a bundle with more sections overflowed the same limit while
+        # rendering, and printed a traceback
+        (["coh-line", "--family", "N", "--points", "1000", "--genus", "2", "--degree", "1000000000"],
+         "h0 of L exceeds the maximum 1000000"),
+        (["coh-wedge", "--genus", "2", "--points", "3", "--twist", "3",
+          "--degree-of-L", str(10**1500), "--degree-of-M", "3"],
+         "h0 of L exceeds the maximum 1000000"),
+        (["coh-line", "--family", "T", "--points", "3", "--genus", "2", "--degree", "-1000000"],
+         "h1 of L exceeds the maximum 1000000"),
+        (["coh-wedge", "--genus", "2", "--points", "3", "--twist", "1",
+          "--degree-of-L", "7", "--degree-of-M", "-1000000"],
+         "h1 of M exceeds the maximum 1000000"),
+        (["coh-wedge", "--genus", "2", "--points", "3", "--twist", "1",
+          "--degree-of-L", "600000", "--degree-of-M", "600000"],
+         "h0 of LM exceeds the maximum 1000000"),
     ])
     def test_rejected_before_any_work(self, argv, message):
         assert invoke(argv) == (2, "", f"error: domain: {message}\n")
@@ -300,6 +315,19 @@ class TestAdmissionLimits:
     ], ids=lambda argv: argv[0])
     def test_largest_admitted_twist(self, argv):
         code, out, err = invoke([*argv, "--twist", "1000000"])
+        assert (code, err) == (0, "")
+        assert out
+
+    # h0 or h1 at the maximum, away from and inside the special range 0..2g-2
+    @pytest.mark.parametrize("argv", [
+        ["coh-line", "--family", "N", "--points", "1000", "--genus", "2", "--degree", "1000001"],
+        ["coh-line", "--family", "T", "--points", "1000", "--genus", "1000000",
+         "--degree", "999999", "--h1-of-L", "1000000"],
+        ["coh-wedge", "--genus", "2", "--points", "3", "--twist", "2",
+         "--degree-of-L", "999998", "--degree-of-M", "3"],
+    ], ids=["coh-line-N", "coh-line-T-special", "coh-wedge"])
+    def test_largest_admitted_sections(self, argv):
+        code, out, err = invoke(argv)
         assert (code, err) == (0, "")
         assert out
 
@@ -670,6 +698,11 @@ _PINNED_JSON = [
                  " --invariant hilbert --twist 2 --format json", 0,
                  "5ab699156fd7fa5a4fd0fb13cd48eba3f7ef277e829189ef8ddcd21872b5f434",
                  id="sweep-hilbert-json"),
+    # each (g, d) node table is read at every order 0..8, so its rows are shared and grown
+    pytest.param("sweep --genus-range 3:4 --degree-range 25:30 --order-range 0:8"
+                 " --invariant hilbert --twist 3 --format json", 0,
+                 "3f3f2abe368856778331e874ff59e3b46397a321b61d78dfd61d07d27b8ed553",
+                 id="sweep-shared-rows-json"),
     pytest.param("validate --format json", 1,
                  "8ad9cc1baaa797f419e5fe37d19de8e1021bbd387de48c258162db3458b14b29",
                  id="validate-json"),

@@ -149,6 +149,113 @@ class TestNodeValues:
                 assert chi(twist) == value
 
 
+class TestSharedNodeTable:
+    """One node table per (g, d), grown across orders and read by all."""
+
+    GENERA = (0, 1, 3, 7, 45)
+    ORDERINGS = {
+        "ascending": list(range(13)),
+        "descending": list(range(12, -1, -1)),
+        "interleaved": [5, 0, 12, 3, 9, 1, 11, 2, 7, 4, 10, 6, 8],
+    }
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    @pytest.mark.parametrize("g", GENERA)
+    def test_orders_in_any_sequence_match_full_depth_table(self, g, ordering):
+        import secantinv.secant_core as core
+
+        d = 2 * g + 2 * 12 + 3
+        core._node_table.cache_clear()
+        for k in self.ORDERINGS[ordering]:
+            assert node_values(SecantInstance(g, d, k)).entries == full_depth_node_table(g, d, k)
+
+    def test_cache_clear_empties_every_row(self):
+        import secantinv.secant_core as core
+
+        orders = (4, 9, 2)
+        before = [node_values(SecantInstance(3, 40, k)).entries for k in orders]
+        core._chi.cache_clear()
+        core._node_table.cache_clear()
+        assert core._node_table.cache_info().currsize == 0
+        assert [node_values(SecantInstance(3, 40, k)).entries for k in orders] == before
+
+    @pytest.mark.parametrize("g", (0, 3, 45))
+    def test_interrupted_growth_leaves_a_consistent_table(self, monkeypatch, g):
+        # every value the growth builds goes through a call of zip or sum;
+        # stop the growth at each such call in turn, then finish it and
+        # read every order
+        import builtins
+
+        import secantinv.secant_core as core
+
+        class Stop(Exception):
+            pass
+
+        d, k = 2 * g + 20, 6
+        calls = 0
+
+        def stopping(real):
+            def wrapped(*args):
+                nonlocal calls
+                calls -= 1
+                if calls == 0:
+                    raise Stop
+                return real(*args)
+            return wrapped
+
+        monkeypatch.setattr(core, "sum", stopping(builtins.sum), raising=False)
+        monkeypatch.setattr(core, "zip", stopping(builtins.zip), raising=False)
+        stop, stopped = 0, True
+        while stopped:
+            stop += 1
+            core._node_table.cache_clear()
+            calls = stop
+            try:
+                core._node_values(g, d, 3)
+                core._node_values(g, d, k)
+                stopped = False
+            except Stop:
+                pass
+            calls = -1  # never stops again
+            for order in (k, *range(k)):
+                assert core._node_values(g, d, order) == full_depth_node_table(g, d, order)
+        core._node_table.cache_clear()
+
+    def test_concurrent_growth(self):
+        # more threads than cores grow one table to different orders at once;
+        # a lost or doubled append would corrupt a row
+        import sys
+        import threading
+
+        import secantinv.secant_core as core
+
+        g, d, orders = 3, 60, (14, 9, 14, 3, 12, 7, 14, 10)
+        expected = {k: full_depth_node_table(g, d, k) for k in set(orders)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                core._node_table.cache_clear()
+                results = {}
+                barrier = threading.Barrier(len(orders))
+
+                def read(slot, k):
+                    barrier.wait()
+                    results[slot] = core._node_values(g, d, k)
+
+                threads = [threading.Thread(target=read, args=(slot, k))
+                           for slot, k in enumerate(orders)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == {slot: expected[k] for slot, k in enumerate(orders)}
+        finally:
+            sys.setswitchinterval(interval)
+            core._node_table.cache_clear()
+
+
 class TestHilbertPolynomial:
     def test_riemann_roch_curve_case(self):
         for g in range(6):
