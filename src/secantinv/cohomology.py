@@ -10,8 +10,8 @@ dimensions of cohomology groups of:
   h0 and h1 of the input bundle;
 * symmetric powers of the secant sheaf, whose positive-twist cohomology is
   C(g,i) copies of the Hilbert function of a lower-order secant variety;
-* exterior powers of the secant sheaf twisted by a second bundle, a Kunneth
-  convolution over two bundle classes;
+* exterior powers of the secant sheaf twisted by a second bundle, the Kunneth
+  convolution of the "T" family of that bundle and the "N" family of the product;
 * the canonical-twisted family, whose dimensions are -chi at negative twists.
 
 All dimensions are exact nonnegative integers.
@@ -138,7 +138,7 @@ def wedge_dim(n: int, j: int) -> int:
 
 
 # Admission limit: the largest symmetric product accepted.  A table has
-# points + 1 entries, and a wedge entry sums up to points + 1 terms.
+# points + 1 entries, and a wedge table forms at most (points/2 + 1)**2 products.
 _MAX_POINTS = 1000
 
 
@@ -251,6 +251,16 @@ def _product_class(
     )
 
 
+def _wedge_factors(points: int, twist: int, twisting: LineBundleClass,
+                   product: LineBundleClass, top: int) -> tuple[list[int], list[int]]:
+    """The two Kunneth factors of the wedge family up to index ``top``: h^p of
+    the descent line of ``twisting`` on C_{points-twist} (a point when
+    twist = points) and h^q of the determinant line of ``product`` on C_twist."""
+    rest = points - twist
+    left = [coh_descent_line(rest, twisting, p) for p in range(min(top, rest) + 1)] if rest else [1]
+    return left, [coh_determinant_line(twist, product, q) for q in range(min(top, twist) + 1)]
+
+
 def coh_wedge_secant_sheaf(
     points: int,
     twist: int,
@@ -262,9 +272,9 @@ def coh_wedge_secant_sheaf(
     """h^i on C_points of the twist-th exterior power of the secant sheaf of
     ``bundle``, tensored with the descent line bundle of ``twisting``.
 
-    The dimension is the Kunneth convolution over p + q = i of
-    sym^{points-twist-p} h0(twisting) * sym^q h1(product) *
-    wedge^p h1(twisting) * wedge^{twist-q} h0(product), where ``product`` is
+    The dimension is the Kunneth convolution over p + q = i of h^p of the
+    "T" (descent) family of ``twisting`` on C_{points-twist} and h^q of the
+    "N" (determinant) family of ``product`` on C_twist, where ``product`` is
     the class of the tensor product of the two bundles.  That class is
     derived when its degree forces it and must be supplied otherwise.
     No positivity is required of either input bundle.
@@ -275,33 +285,20 @@ def coh_wedge_secant_sheaf(
     if not 0 <= i <= points:
         raise DomainError(f"cohomological index {i} must lie in 0..{points}")
     prod = _product_class(bundle, twisting, product)
-    total = 0
-    for p in range(i + 1):
-        q = i - p
-        total += (
-            sym_dim(twisting.h0, points - twist - p)
-            * sym_dim(prod.h1, q)
-            * wedge_dim(twisting.h1, p)
-            * wedge_dim(prod.h0, twist - q)
-        )
-    return total
+    left, right = _wedge_factors(points, twist, twisting, prod, i)
+    return sum(a * right[i - p] for p, a in enumerate(left) if i - p < len(right))
 
 
 def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     """h^i of the canonical-twisted symmetric powers for twist > 0: -chi at
-    twist -twist for i = 0, the same for the next lower order at i = 1
-    (zero when k = 0), and 0 for i >= 2."""
+    twist -twist of the order-(k-i) secant variety for i in {0, 1} with
+    i <= k, and 0 otherwise."""
     if twist <= 0:
         raise DomainError(f"coh_canonical_twist needs twist > 0, got {twist}")
     g, d, k = inst.genus, inst.degree, inst.order
-    if i == 0:
-        value = -hilbert_polynomial(inst)(-twist)
-    elif i == 1:
-        if k == 0:
-            return 0
-        value = -hilbert_polynomial(SecantInstance(g, d, k - 1))(-twist)
-    else:
+    if not 0 <= i <= min(1, k):
         return 0
+    value = -hilbert_polynomial(SecantInstance(g, d, k - i))(-twist)
     if value.denominator != 1 or value < 0:
         raise InternalMismatch(
             f"-chi(-{twist}) = {value} is not a nonnegative integer "
@@ -399,8 +396,15 @@ def wedge_secant_table(
     _check_points(points)
     product = _product_class(bundle, twisting, product)
     _check_sections(L=bundle, M=twisting, LM=product)
-    dims = (coh_wedge_secant_sheaf(points, twist, bundle, twisting, i, product)
-            for i in range(points + 1))
+    if not 1 <= twist <= points:
+        raise DomainError(f"twist {twist} must lie in 1..{points}")
+    left, right = _wedge_factors(points, twist, twisting, product, points)
+    nonzero = [(q, b) for q, b in enumerate(right) if b]
+    dims = [0] * (points + 1)
+    for p, a in enumerate(left):
+        if a:
+            for q, b in nonzero:
+                dims[p + q] += a * b
     values = (points, twist, bundle.genus, bundle.degree, bundle.h1,
               twisting.degree, twisting.h1)
     return _table("WedgeE", values, twist, dims)

@@ -11,7 +11,7 @@ stratum index alone.
 The multiplicity of the local ring equals the degree of the projectivized
 tangent cone, and adjoining a disjoint linear vertex leaves both the series
 numerator and hence the degree unchanged, so the multiplicity is the degree
-of the base secant variety.
+of the base secant variety, read from the cone's series numerator at 1.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from typing import Optional
 
 from .errors import DomainError, StratumOutOfRange
 from .exactmath import QPolynomial
-from .secant_core import (
-    HilbertSeries,
-    SecantInstance,
-    hilbert_series,
-    variety_degree,
-)
+from .secant_core import HilbertSeries, SecantInstance, hilbert_series
 
 __all__ = [
     "SMOOTH_POINT",
@@ -102,29 +97,22 @@ def tangent_cone_at(inst: SecantInstance, stratum: int) -> TangentConeDescriptor
     k = inst.order
     if stratum < 0 or stratum > k:
         raise StratumOutOfRange(f"stratum {stratum} outside 0..{k}")
-    cone_krull = 2 * k + 1
     if stratum == k:
         # Smooth point: the tangent cone is the full projectivized tangent space.
-        return TangentConeDescriptor(
-            ambient=inst,
-            stratum=stratum,
-            base=SMOOTH_POINT,
-            vertex_proj_dim=2 * k,
-            cone_proj_dim=2 * k,
-            multiplicity=1,
-            base_is_fano=None,
-            series=HilbertSeries(QPolynomial.constant(1), cone_krull),
-        )
-    base = SecantInstance(inst.genus, inst.degree - 2 * stratum - 2, k - stratum - 1)
+        base, numerator = SMOOTH_POINT, QPolynomial.constant(1)
+    else:
+        base = SecantInstance(inst.genus, inst.degree - 2 * stratum - 2, k - stratum - 1)
+        numerator = hilbert_series(base).numerator
+    series = HilbertSeries(numerator, 2 * k + 1)
     return TangentConeDescriptor(
         ambient=inst,
         stratum=stratum,
         base=base,
         vertex_proj_dim=2 * stratum,
         cone_proj_dim=2 * k,
-        multiplicity=variety_degree(base),
-        base_is_fano=inst.genus == 0,
-        series=HilbertSeries(hilbert_series(base).numerator, cone_krull),
+        multiplicity=series.degree(),
+        base_is_fano=None if base is SMOOTH_POINT else inst.genus == 0,
+        series=series,
     )
 
 

@@ -31,13 +31,17 @@ def genus0_hilbert_function(d: int, k: int, n: int) -> int:
     """
     if n < 0:
         return 0
-    rows, cols = k + 2, d - k
     total = binomial(n + d, d)
-    for i in range(1, cols - rows + 2):
-        gen_degree = rows + i - 1
-        rank = binomial(cols, rows + i - 1) * binomial(rows + i - 2, i - 1)
-        total += (-1) ** i * rank * binomial(n - gen_degree + d, d)
+    for i in range(1, d - 2 * k):
+        total += (-1) ** i * eagon_northcott_rank(d, k, i) * binomial(n - k - i - 1 + d, d)
     return total
+
+
+def eagon_northcott_rank(d: int, k: int, i: int) -> int:
+    """Rank C(d-k, k+i+1) * C(k+i, i-1) of the i-th term (i >= 1) of the
+    Eagon-Northcott resolution of the maximal minors of the (k+2) x (d-k)
+    Hankel matrix; it sits in degree k+i+1."""
+    return binomial(d - k, k + i + 1) * binomial(k + i, i - 1)
 
 
 def genus0_generators(d: int, k: int) -> int:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from secantinv import (
@@ -187,6 +189,41 @@ class TestHigherDirectImages:
                 assert mult > 0 and support >= 0
 
 
+def four_factor_wedge(points, twist, twisting, product, i):
+    """Reference for the wedge family: the Kunneth sum over p + q = i written
+    out factor by factor, sym^{points-twist-p} h0(M) * sym^q h1(LM) *
+    wedge^p h1(M) * wedge^{twist-q} h0(LM)."""
+    return sum(
+        sym_dim(twisting.h0, points - twist - p)
+        * sym_dim(product.h1, i - p)
+        * wedge_dim(twisting.h1, p)
+        * wedge_dim(product.h0, twist - i + p)
+        for p in range(i + 1)
+    )
+
+
+def bundle_classes(g, degree):
+    """The class of a degree forced by it, or two valid classes (the smallest
+    h1 and one more) in the special range 0..2g-2."""
+    if 0 <= degree <= 2 * g - 2:
+        lowest = max(0, g - 1 - degree)
+        return [LineBundleClass.from_degree(g, degree, h1) for h1 in (lowest, lowest + 1)]
+    return [LineBundleClass.from_degree(g, degree)]
+
+
+def wedge_grid(max_genus):
+    """(bundle, twisting, product, supplied) over g <= max_genus with both
+    degrees in -3..2g+5.  A product in the special range is supplied in each
+    class of bundle_classes; a forced one is left to be derived (None)."""
+    for g in range(max_genus + 1):
+        classes = [c for degree in range(-3, 2 * g + 6) for c in bundle_classes(g, degree)]
+        for bundle in classes:
+            for twisting in classes:
+                products = bundle_classes(g, bundle.degree + twisting.degree)
+                for product in products:
+                    yield bundle, twisting, product, product if len(products) == 2 else None
+
+
 class TestWedgeSecantSheaf:
     def test_collapse_to_determinant_line(self):
         # at twist = points only the p = 0 term survives and the dimension
@@ -253,6 +290,38 @@ class TestWedgeSecantSheaf:
         with pytest.raises(DomainError):
             coh_wedge_secant_sheaf(2, 3, bundle, bundle, 0)
 
+    def test_table_and_entries_match_four_factor_sum(self):
+        # special-range classes and zero supports (h1(M) = 0, h0(LM) = 0)
+        # are all on the grid
+        supports = set()
+        for bundle, twisting, product, supplied in wedge_grid(4):
+            supports.add((twisting.h1 == 0, product.h0 == 0))
+            for points in range(1, 6):
+                for twist in range(1, points + 1):
+                    expected = [four_factor_wedge(points, twist, twisting, product, i)
+                                for i in range(points + 1)]
+                    table = wedge_secant_table(points, twist, bundle, twisting, supplied)
+                    assert [e.dim for e in table.entries] == expected
+                    assert [coh_wedge_secant_sheaf(points, twist, bundle, twisting, i, supplied)
+                            for i in range(points + 1)] == expected
+        assert supports == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_table_twist_range_checked(self):
+        bundle = LineBundleClass.nonspecial(0, 5)
+        for twist in (0, 4):
+            with pytest.raises(DomainError, match=f"twist {twist} must lie in 1..3"):
+                wedge_secant_table(3, twist, bundle, bundle)
+
+    def test_sparse_table_at_the_admission_limit_is_fast(self):
+        # only one product of the two factor lists is nonzero here; summing
+        # each entry's diagonal afresh took about 12 s
+        bundle = LineBundleClass.from_degree(2, 999998)
+        twisting = LineBundleClass.from_degree(2, 3)
+        start = time.perf_counter()
+        table = wedge_secant_table(1000, 500, bundle, twisting)
+        assert time.perf_counter() - start < 1.0
+        assert [e.dim for e in table.entries][1:] == [0] * 1000
+
 
 class TestCanonicalTwist:
     def test_g2_d9_k1(self):
@@ -278,6 +347,17 @@ class TestCanonicalTwist:
 
     def test_order_zero_has_no_i1(self):
         assert coh_canonical_twist(SecantInstance(2, 9, 0), 3, 1) == 0
+
+    def test_indices_around_the_support(self):
+        # -chi of order k at i = 0, of order k-1 at i = 1 when k >= 1, else 0
+        for g, d, k in [(0, 3, 0), (2, 9, 0), (1, 5, 1), (2, 11, 2), (0, 12, 3)]:
+            inst = SecantInstance(g, d, k)
+            for twist in (1, 2, 4):
+                def minus_chi(order):
+                    return -hilbert_polynomial(SecantInstance(g, d, order))(-twist)
+                expected = {0: minus_chi(k), 1: minus_chi(k - 1) if k else 0}
+                for i in (-1, 0, 1, 2, k + 1):
+                    assert coh_canonical_twist(inst, twist, i) == expected.get(i, 0)
 
     def test_nonpositive_twist_rejected(self):
         with pytest.raises(DomainError):

@@ -120,6 +120,14 @@ class TestMultiplicity:
             SecantInstance(1, 9, 2), 0
         ) == variety_degree(SecantInstance(1, 7, 1))
 
+    def test_series_multiplicity_is_base_degree_on_grid(self):
+        # the multiplicity is read from the cone's series; the leading
+        # coefficient of the base's chi is a second route to it
+        for inst in strata_grid(3, 4, 3):
+            for s in range(inst.order):
+                desc = tangent_cone_at(inst, s)
+                assert desc.multiplicity == variety_degree(desc.base)
+
     def test_smoothness_boundary(self):
         # multiplicity 1 exactly at smooth points or on rational normal
         # secants that fill projective space
