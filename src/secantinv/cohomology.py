@@ -178,14 +178,16 @@ def coh_determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the determinant of the
     tautological sheaf of ``bundle``: wedge^{m-i} h0 times sym^i h1."""
     _check_points(points)
-    return wedge_dim(bundle.h0, points - i) * sym_dim(bundle.h1, i)
+    factor = sym_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
+    return factor and wedge_dim(bundle.h0, points - i) * factor
 
 
 def coh_descent_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the invariant descent of
     the box power of ``bundle``: sym^{m-i} h0 times wedge^i h1."""
     _check_points(points)
-    return sym_dim(bundle.h0, points - i) * wedge_dim(bundle.h1, i)
+    factor = wedge_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
+    return factor and sym_dim(bundle.h0, points - i) * factor
 
 
 def coh_sym_secant_sheaf(inst: SecantInstance, twist: int, i: int) -> int:

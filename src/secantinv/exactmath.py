@@ -19,6 +19,7 @@ a polynomial renders as the list of such strings in ascending degree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -307,27 +308,23 @@ def finite_difference_numerator(
 ) -> QPolynomial:
     """Numerator Q of a Hilbert series H(t) = Q(t)/(1-t)^krull_dim.
 
-    ``values`` must vanish for negative arguments and agree with a polynomial
-    of degree < krull_dim for all arguments >= 1.  Q_n is the alternating
-    binomial sum of krull_dim successive values ending at n; every Q_n with
-    krull_dim < n <= cutoff must then vanish, and :class:`NonvanishingTail`
-    is raised otherwise (a violated precondition).  The returned coefficients
-    are integers.
+    ``values`` is read at 0..cutoff only, and must agree with a polynomial
+    of degree < krull_dim for all arguments >= 1.  Q is that list times
+    (1-t)^krull_dim: krull_dim backward differences q[n] - q[n-1], with
+    q[-1] = 0.  Every entry with krull_dim < n <= cutoff must then vanish,
+    and :class:`NonvanishingTail` is raised at the first that does not (a
+    violated precondition).  The returned coefficients are integers.
     """
     if krull_dim < 1:
         raise ValueError("krull_dim must be positive")
     if cutoff < krull_dim + 1:
         raise ValueError("cutoff must be at least krull_dim + 1")
-    signs = [(-1) ** j * binomial(krull_dim, j) for j in range(krull_dim + 1)]
-    cache = {n: values(n) for n in range(-krull_dim, cutoff + 1)}
-    coeffs: list[Fraction] = []
-    for n in range(cutoff + 1):
-        q_n = sum(signs[j] * cache[n - j] for j in range(krull_dim + 1))
-        if n > krull_dim:
-            if q_n != 0:
-                raise NonvanishingTail(
-                    f"difference of order {krull_dim} is {q_n} != 0 at twist {n}"
-                )
-        else:
-            coeffs.append(Fraction(q_n))
-    return QPolynomial(coeffs)
+    q = [values(n) for n in range(cutoff + 1)]
+    for _ in range(krull_dim):
+        q = list(map(operator.sub, q, [0, *q]))
+    for n in range(krull_dim + 1, cutoff + 1):
+        if q[n] != 0:
+            raise NonvanishingTail(
+                f"difference of order {krull_dim} is {q[n]} != 0 at twist {n}"
+            )
+    return QPolynomial(q[:krull_dim + 1])

@@ -35,7 +35,8 @@ import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import DomainError, GeneratorDegreeUnknown, InternalMismatch
@@ -158,16 +159,13 @@ class HilbertSeries:
         return int(self.numerator(1))
 
     def expand(self, count: int) -> list[int]:
-        """First ``count`` Hilbert-function values H(0), ..., H(count-1)."""
-        out = []
-        for twist in range(count):
-            acc = 0
-            for power, c in enumerate(self.numerator.coefficients):
-                if power > twist:
-                    break  # t^power contributes nothing below degree power
-                acc += int(c) * binomial(twist - power + self.krull_dim - 1, self.krull_dim - 1)
-            out.append(acc)
-        return out
+        """First ``count`` Hilbert-function values H(0), ..., H(count-1):
+        krull_dim running sums of the numerator's coefficients, each a
+        division by (1-t)."""
+        values = [int(self.numerator.coefficient(n)) for n in range(count)]
+        for _ in range(self.krull_dim):
+            values = list(accumulate(values))
+        return values
 
     def to_json_dict(self) -> dict:
         return {"numerator": self.numerator.to_strings(), "krull_dim": self.krull_dim}
@@ -318,10 +316,8 @@ def variety_degree(inst: SecantInstance) -> int:
 
 def hilbert_series(inst: SecantInstance) -> HilbertSeries:
     """Hilbert series numerator over (1-t)^{2k+2} via finite differences."""
-    def values(n: int) -> int:
-        return hilbert_function(inst, n) if n >= 0 else 0
-
-    numerator = finite_difference_numerator(values, inst.krull_dim, inst.krull_dim + 2)
+    numerator = finite_difference_numerator(partial(hilbert_function, inst), inst.krull_dim,
+                                            inst.krull_dim + 2)
     series = HilbertSeries(numerator, inst.krull_dim)
     if series.degree() != variety_degree(inst):
         raise InternalMismatch(

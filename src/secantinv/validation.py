@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .cohomology import (
@@ -250,10 +251,8 @@ def check_series_tail_vanishes() -> Optional[str]:
     # recompute numerators with a deeper cutoff: the Hilbert function must
     # agree with a degree-(2k+1) polynomial from twist 1 on
     for inst in _grid(3, 3, 3):
-        def values(n: int, inst=inst) -> int:
-            return hilbert_function(inst, n) if n >= 0 else 0
-
-        finite_difference_numerator(values, inst.krull_dim, inst.krull_dim + 5)
+        finite_difference_numerator(partial(hilbert_function, inst), inst.krull_dim,
+                                    inst.krull_dim + 5)
     return None
 
 

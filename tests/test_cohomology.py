@@ -120,6 +120,19 @@ class TestLineBundleCohomology:
             assert coh_descent_line(m, lb, -1) == 0
             assert coh_descent_line(m, lb, m + 1) == 0
 
+    def test_zero_h1_factor_skips_the_h0_factor(self):
+        # h1 = 0 zeroes every entry above i = 0; computing each entry's h0
+        # binomial anyway, with a top near 10**6, took 0.18 to 0.5 s on a
+        # 2-core x86-64 machine
+        bundle = LineBundleClass.from_degree(2, 999998)
+        twisting = LineBundleClass.from_degree(2, 3)
+        start = time.perf_counter()
+        tables = [line_bundle_table(family, 1000, bundle) for family in "NT"]
+        wedge = wedge_secant_table(1000, 500, bundle, twisting)
+        assert time.perf_counter() - start < 0.04
+        for table in (*tables, wedge):
+            assert [e.dim for e in table.entries][1:] == [0] * 1000
+
 
 class TestSymSecantSheaf:
     def test_i0_is_hilbert_function(self):

@@ -222,6 +222,20 @@ class TestFiniteDifferenceNumerator:
                 lambda n: values.get(n, 0) if n >= 0 else 0, 4, 6
             )
 
+    def test_values_read_at_nonnegative_twists_only(self):
+        values = [1, 5, 15, 34, 65, 111, 175]
+
+        def strict(n: int) -> int:
+            if n < 0:
+                raise AssertionError(f"read at twist {n}")
+            return values[n]
+
+        q = finite_difference_numerator(strict, 4, 6)
+        assert q == finite_difference_numerator(
+            lambda n: values[n] if n >= 0 else 0, 4, 6
+        )
+        assert q == QPolynomial([1, 1, 1])
+
     def test_inverse_expansion_round_trip(self):
         from secantinv import binomial as binom
 

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secantinv import (
+    HilbertSeries,
     QPolynomial,
     SecantInstance,
     binomial,
     cone_over_secant,
+    finite_difference_numerator,
     generator_count,
     hilbert_function,
     hilbert_polynomial,
@@ -135,6 +137,28 @@ def naive_horner(coefficients, x):
     for c in reversed(coefficients):
         acc = acc * x + c
     return acc
+
+
+@st.composite
+def series_numerators(draw):
+    """(Q, K) with K in 1..12 and Q an integer polynomial of degree <= K with
+    Q(0) = 1 and nonnegative coefficients."""
+    krull_dim = draw(st.integers(1, 12))
+    tail = draw(st.lists(st.integers(0, 10**6), max_size=krull_dim))
+    return QPolynomial([1, *tail]), krull_dim
+
+
+@checked
+@given(series_numerators())
+def test_series_expansion_and_numerator_are_inverse(case):
+    numerator, krull_dim = case
+    values = HilbertSeries(numerator, krull_dim).expand(krull_dim + 3)
+    for n, value in enumerate(values):
+        assert value == sum(
+            int(numerator.coefficient(j)) * binomial(n - j + krull_dim - 1, krull_dim - 1)
+            for j in range(n + 1)
+        )
+    assert finite_difference_numerator(values.__getitem__, krull_dim, krull_dim + 2) == numerator
 
 
 def naive_lagrange(points):

@@ -525,6 +525,25 @@ class TestPinnedChiTopOrder:
         assert hashlib.sha256(wire.encode()).hexdigest() == digest
 
 
+class TestPinnedSeries:
+    """sha256 of the series numerator's comma-joined wire strings, recorded
+    with the engine that expanded (1-t)^K as binomial sums."""
+
+    @pytest.mark.parametrize(
+        "g, d, k, digest",
+        [
+            (5, 35, 10, "ab392c2f6b32291994430dafe702adad84b0000be64eefc5f56b59046bad7b1d"),
+            (5, 95, 40, "8ba74b0320b022d5431091b6bd6d0df7cc6935615dc160f3645093a29aaeec58"),
+            (0, 1000, 100, "25ea5f0bd1fcaaec9bada3aebbfe417fd4bee96620a7f3761720cc926aef61a8"),
+            (5, 1000, 200, "9404b60488d904e96cd7eb2d60e3d2b846966aaec80b6f5de7b3e485300eee28"),
+            (30, 1000, 200, "ff0c01711ae2f749905dbb263dc12ae371f28b2fb310d35a00575e569794903e"),
+        ],
+    )
+    def test_series_numerator_unchanged(self, g, d, k, digest):
+        wire = ",".join(hilbert_series(SecantInstance(g, d, k)).numerator.to_strings())
+        assert hashlib.sha256(wire.encode()).hexdigest() == digest
+
+
 class TestDualValues:
     def test_negated_chi_nonnegative_at_negative_twists(self):
         # at twist 0 the value is canonical_h0 - 1, which is -1 when g = 0,
