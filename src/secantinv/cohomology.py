@@ -50,9 +50,9 @@ class LineBundleClass:
     """Cohomological class (genus, degree, h0, h1) of a line bundle on a curve.
 
     Riemann-Roch ties the fields together: h0 - h1 = degree - genus + 1.
-    Negative degree forces h0 = 0; degree > 2g-2 forces h1 = 0.  In the
-    special range 0 <= degree <= 2g-2 the degree does not determine h0/h1,
-    so they must be supplied.
+    Degree > 2g-2 forces h1 = 0, and negative degree forces h1 = g-1-degree
+    (so h0 = 0).  In the special range 0 <= degree <= 2g-2 the degree does
+    not determine h0/h1, so they must be supplied.
     """
 
     genus: int
@@ -61,21 +61,19 @@ class LineBundleClass:
     h1: int
 
     def __post_init__(self) -> None:
-        g = self.genus
+        g, d = self.genus, self.degree
+        if d > 2 * g - 2:
+            if self.h1 != 0:
+                raise DomainError(f"degree {d} > 2g-2 forces h1 = 0, got {self.h1}")
+        elif d < 0 and self.h1 != g - 1 - d:
+            raise DomainError(f"degree {d} < 0 forces h1 = {g - 1 - d}, got {self.h1}")
         if g < 0:
             raise DomainError(f"genus {g} must be nonnegative")
         if self.h0 < 0 or self.h1 < 0:
             raise DomainError(f"h0 = {self.h0}, h1 = {self.h1} must be nonnegative")
-        if self.h0 - self.h1 != self.degree - g + 1:
+        if self.h0 - self.h1 != d - g + 1:
             raise DomainError(
-                f"h0 - h1 = {self.h0 - self.h1} violates Riemann-Roch "
-                f"value {self.degree - g + 1}"
-            )
-        if self.degree < 0 and self.h0 != 0:
-            raise DomainError(f"degree {self.degree} < 0 forces h0 = 0, got {self.h0}")
-        if self.degree > 2 * g - 2 and self.h1 != 0:
-            raise DomainError(
-                f"degree {self.degree} > 2g-2 = {2 * g - 2} forces h1 = 0, got {self.h1}"
+                f"h0 - h1 = {self.h0 - self.h1} violates Riemann-Roch value {d - g + 1}"
             )
 
     @classmethod
@@ -101,20 +99,13 @@ class LineBundleClass:
     ) -> "LineBundleClass":
         """Build a class from its degree, requiring h1 only when the degree
         does not force it (the special range 0 <= degree <= 2g-2)."""
-        if degree > 2 * genus - 2:
-            if h1 not in (None, 0):
-                raise DomainError(f"degree {degree} > 2g-2 forces h1 = 0, got {h1}")
-            return cls.nonspecial(genus, degree)
-        if degree < 0:
-            forced = genus - 1 - degree
-            if h1 not in (None, forced):
-                raise DomainError(f"degree {degree} < 0 forces h1 = {forced}, got {h1}")
-            return cls(genus, degree, 0, forced)
         if h1 is None:
-            raise AmbiguousBundle(
-                f"degree {degree} lies in the special range 0..{2 * genus - 2} "
-                f"for genus {genus}; supply h1 explicitly"
-            )
+            if 0 <= degree <= 2 * genus - 2:
+                raise AmbiguousBundle(
+                    f"degree {degree} lies in the special range 0..{2 * genus - 2} "
+                    f"for genus {genus}; supply h1 explicitly"
+                )
+            h1 = 0 if degree > 2 * genus - 2 else genus - 1 - degree
         return cls(genus, degree, degree - genus + 1 + h1, h1)
 
 
@@ -123,8 +114,6 @@ def sym_dim(n: int, j: int) -> int:
     (0 for j < 0, and 1 for j = 0 even when n = 0)."""
     if n < 0:
         raise ValueError("space dimension must be nonnegative")
-    if j < 0:
-        return 0
     return binomial(n + j - 1, j)
 
 
@@ -132,8 +121,6 @@ def wedge_dim(n: int, j: int) -> int:
     """Dimension C(n, j) of the j-th exterior power of an n-space."""
     if n < 0:
         raise ValueError("space dimension must be nonnegative")
-    if j < 0:
-        return 0
     return binomial(n, j)
 
 

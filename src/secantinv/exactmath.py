@@ -162,8 +162,6 @@ class QPolynomial:
 
     def __mul__(self, other: "QPolynomial | RationalLike") -> "QPolynomial":
         if isinstance(other, QPolynomial):
-            if self.is_zero or other.is_zero:
-                return QPolynomial.zero()
             out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
             for i, a in enumerate(self.coefficients):
                 if a == 0:

@@ -116,11 +116,19 @@ def tangent_cone_at(inst: SecantInstance, stratum: int) -> TangentConeDescriptor
     )
 
 
+# Admission limit: the largest vertex count accepted.  The cone's Krull
+# dimension 2k+2+m is rendered, and must stay inside Python's 4,300-digit
+# int-to-str limit.
+_MAX_VERTEX_COUNT = 10**6
+
+
 def cone_over_secant(inst: SecantInstance, vertex_count: int) -> ConeOverSecant:
     """Cone over the secant variety with an (m-1)-plane vertex, m >= 0; the
     case m = 0 is the variety itself."""
     if vertex_count < 0:
         raise DomainError(f"vertex_count {vertex_count} must be nonnegative")
+    if vertex_count > _MAX_VERTEX_COUNT:
+        raise DomainError(f"vertex_count {vertex_count} exceeds the maximum {_MAX_VERTEX_COUNT}")
     base = hilbert_series(inst)
     return ConeOverSecant(
         inst,

@@ -154,6 +154,16 @@ class TestCohomologyCommands:
         # h0 = 4-3+1+1 = 3: sym^2 = 6, then 3*wedge^1(1) = 3, wedge^2(1) = 0
         assert out.splitlines() == ["i,l,dim", "0,,6", "1,,3", "2,,0"]
 
+    # a supplied h1 that contradicts the one the degree forces is refused
+    @pytest.mark.parametrize("degree, h1, message", [
+        ("7", "3", "degree 7 > 2g-2 forces h1 = 0, got 3"),
+        ("-1", "0", "degree -1 < 0 forces h1 = 2, got 0"),
+    ], ids=["above-2g-2", "negative"])
+    def test_line_bundle_forced_h1_contradicted(self, degree, h1, message):
+        argv = ["coh-line", "--family", "N", "--points", "2", "--genus", "2",
+                "--degree", degree, "--h1-of-L", h1]
+        assert invoke(argv) == (2, "", f"error: domain: {message}\n")
+
 
 class TestTangentCommands:
     def test_tangent_cone_json(self):
@@ -299,9 +309,26 @@ class TestAdmissionLimits:
         (["coh-wedge", "--genus", "2", "--points", "3", "--twist", "1",
           "--degree-of-L", "600000", "--degree-of-M", "600000"],
          "h0 of LM exceeds the maximum 1000000"),
+        (["cone", "--genus", "0", "--degree", "4", "--order", "1", "--vertex-count", "1000001"],
+         "vertex_count 1000001 exceeds the maximum 1000000"),
     ])
     def test_rejected_before_any_work(self, argv, message):
         assert invoke(argv) == (2, "", f"error: domain: {message}\n")
+
+    def test_vertex_count_past_the_int_to_str_limit(self):
+        # the longest int argparse accepts; the cone's Krull dimension 2k+2+m
+        # then had 4,301 digits, and rendering it printed a traceback
+        nines = "9" * 4300
+        code, out, err = invoke(["cone", "--genus", "0", "--degree", "4", "--order", "1",
+                                 "--vertex-count", nines])
+        assert (code, out) == (2, "")
+        assert err == f"error: domain: vertex_count {nines} exceeds the maximum 1000000\n"
+
+    def test_largest_admitted_vertex_count(self):
+        code, out, err = invoke(["cone", "--genus", "0", "--degree", "4", "--order", "1",
+                                 "--vertex-count", "1000000", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["series"]["krull_dim"] == 1000004
 
     def test_largest_admitted_order(self):
         code, out, err = invoke(["degree", "--genus", "0", "--degree", "1000", "--order", "200"])
@@ -448,6 +475,18 @@ class TestValidateCommand:
         assert out == ""
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["failed"] == 0
+
+    def test_run_catalogue_reports_a_failed_check(self, monkeypatch):
+        from secantinv import validation
+
+        def failing():
+            raise AssertionError("expected 1, got 2")
+
+        monkeypatch.setattr(validation, "CATALOGUE", [("x/passes", lambda: "note"),
+                                                      ("x/fails", failing)])
+        results = validation.run_catalogue()
+        assert [(r.name, r.passed, r.detail) for r in results] == [
+            ("x/passes", True, "note"), ("x/fails", False, "expected 1, got 2")]
 
     def test_help_exits_zero(self):
         result = subprocess.run(
@@ -766,6 +805,15 @@ class TestOneErrorLine:
         assert out == ""
         assert err == f"error: usage: cannot write {path}: No such file or directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_onto_an_existing_directory(self, tmp_path):
+        path = tmp_path / "taken"
+        path.mkdir()
+        code, out, err = invoke([*_DEGREE_ARGV, "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: usage: cannot write {path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(path.iterdir()) == []
 
     def test_out_replaces_existing_file_and_leaves_no_temporary(self, tmp_path):
         path = tmp_path / "degree.txt"

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -60,6 +61,36 @@ class TestLineBundleClass:
         with pytest.raises(DomainError):
             LineBundleClass(2, 9, 9, 1)
 
+    # the forced h1 is checked first, then the genus, the signs and Riemann-Roch
+    @pytest.mark.parametrize("fields, message", [
+        ((2, -3, 1, 5), "degree -3 < 0 forces h1 = 4, got 5"),
+        ((2, 9, 9, 1), "degree 9 > 2g-2 forces h1 = 0, got 1"),
+        ((2, 7, 5, 1), "degree 7 > 2g-2 forces h1 = 0, got 1"),
+        ((-1, 5, 9, 2), "degree 5 > 2g-2 forces h1 = 0, got 2"),
+        ((-1, -3, -1, 0), "genus -1 must be nonnegative"),
+        ((3, 1, -1, 0), "h0 = -1, h1 = 0 must be nonnegative"),
+        ((3, 4, 1, -1), "h0 = 1, h1 = -1 must be nonnegative"),
+        ((3, 4, 1, 1), "h0 - h1 = 0 violates Riemann-Roch value 2"),
+    ])
+    def test_invalid_class_refused(self, fields, message):
+        with pytest.raises(DomainError) as caught:
+            LineBundleClass(*fields)
+        assert str(caught.value) == message
+
+    def test_from_degree_fills_in_the_forced_h1(self):
+        assert LineBundleClass.from_degree(2, -3, h1=4) == LineBundleClass(2, -3, 0, 4)
+        assert LineBundleClass.from_degree(2, 7, h1=0) == LineBundleClass(2, 7, 6, 0)
+        # below genus 0 a filled-in h1 reaches the genus check, and a
+        # contradicting one is refused before it
+        with pytest.raises(DomainError, match="^genus -1 must be nonnegative$"):
+            LineBundleClass.from_degree(-1, -3)
+        with pytest.raises(DomainError, match="^degree -5 < 0 forces h1 = 3, got 0$"):
+            LineBundleClass.from_degree(-1, -5, h1=0)
+
+    def test_nonspecial_refuses_the_special_range(self):
+        with pytest.raises(DomainError, match="^degree 2 is not forced nonspecial for genus 2$"):
+            LineBundleClass.nonspecial(2, 2)
+
 
 class TestPowerDims:
     def test_sym_small(self):
@@ -76,6 +107,17 @@ class TestPowerDims:
     def test_negative_power(self):
         assert sym_dim(4, -1) == 0
         assert wedge_dim(4, -2) == 0
+
+    @pytest.mark.parametrize("dim", [sym_dim, wedge_dim])
+    def test_negative_space_rejected(self, dim):
+        with pytest.raises(ValueError, match="space dimension must be nonnegative"):
+            dim(-1, 2)
+
+    def test_agree_with_binomial_at_every_power(self):
+        for n in range(30):
+            for j in range(-30, 40):
+                assert sym_dim(n, j) == (binomial(n + j - 1, j) if j >= 0 else 0)
+                assert wedge_dim(n, j) == (binomial(n, j) if j >= 0 else 0)
 
 
 class TestLineBundleCohomology:
@@ -302,6 +344,23 @@ class TestWedgeSecantSheaf:
             coh_wedge_secant_sheaf(2, 0, bundle, bundle, 0)
         with pytest.raises(DomainError):
             coh_wedge_secant_sheaf(2, 3, bundle, bundle, 0)
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_index_range_checked(self, i):
+        bundle = LineBundleClass.nonspecial(0, 5)
+        with pytest.raises(DomainError, match=f"^cohomological index {i} must lie in 0..2$"):
+            coh_wedge_secant_sheaf(2, 1, bundle, bundle, i)
+
+    @pytest.mark.parametrize("product, expected", [
+        (LineBundleClass.nonspecial(2, 9), "(2, 9), expected (2, 8)"),
+        (LineBundleClass.nonspecial(3, 8), "(3, 8), expected (2, 8)"),
+    ], ids=["degree", "genus"])
+    def test_supplied_product_class_must_match(self, product, expected):
+        bundle = LineBundleClass.nonspecial(2, 5)
+        twisting = LineBundleClass.nonspecial(2, 3)
+        message = f"supplied product class has (genus, degree) = {expected}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            coh_wedge_secant_sheaf(2, 1, bundle, twisting, 0, product)
 
     def test_table_and_entries_match_four_factor_sum(self):
         # special-range classes and zero supports (h1(M) = 0, h0(LM) = 0)

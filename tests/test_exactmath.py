@@ -128,6 +128,26 @@ class TestQPolynomial:
         assert str(QPolynomial([1, 2, Fraction(3, 2)])) == "3/2*t^2 + 2*t + 1"
         assert str(QPolynomial.zero()) == "0"
 
+    def test_str_skips_zero_coefficients(self):
+        assert str(QPolynomial([1, 0, 1])) == "t^2 + 1"
+
+    def test_zero_has_no_leading_coefficient(self):
+        with pytest.raises(ValueError, match="the zero polynomial has no leading coefficient"):
+            QPolynomial.zero().leading_coefficient
+
+    @pytest.mark.parametrize("left, right", [
+        (QPolynomial.zero(), QPolynomial([1, 2, 3])),
+        (QPolynomial([1, 2, 3]), QPolynomial.zero()),
+        (QPolynomial.zero(), QPolynomial.zero()),
+    ], ids=["zero-left", "zero-right", "both-zero"])
+    def test_zero_products(self, left, right):
+        product = left * right
+        assert product == QPolynomial.zero()
+        assert product.coefficients == () and product.degree == -1
+
+    def test_divide_zero_by_linear(self):
+        assert QPolynomial.zero().divide_by_linear(3) == (QPolynomial.zero(), 0)
+
 
 class TestRationalFormat:
     def test_integer_renders_bare(self):
@@ -257,3 +277,7 @@ class TestFiniteDifferenceNumerator:
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ValueError):
             finite_difference_numerator(self._projective_line, 2, 2)
+
+    def test_krull_dim_zero_rejected(self):
+        with pytest.raises(ValueError, match="krull_dim must be positive"):
+            finite_difference_numerator(self._projective_line, 0, 4)

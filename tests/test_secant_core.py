@@ -7,6 +7,8 @@ import pytest
 from secantinv import (
     DomainError,
     GeneratorDegreeUnknown,
+    HilbertSeries,
+    InternalMismatch,
     QPolynomial,
     SecantInstance,
     binomial,
@@ -147,6 +149,13 @@ class TestNodeValues:
             chi = hilbert_polynomial(inst)
             for twist, value in node_values(inst).items():
                 assert chi(twist) == value
+
+    # a negative twist would otherwise wrap around to the end of the entries
+    @pytest.mark.parametrize("twist", [-2, 3])
+    def test_twist_outside_the_nodes_rejected(self, twist):
+        nodes = node_values(SecantInstance(2, 9, 1))
+        with pytest.raises(KeyError, match=f"twist {twist} outside node range"):
+            nodes[twist]
 
 
 class TestSharedNodeTable:
@@ -392,6 +401,21 @@ class TestHilbertSeries:
             series = hilbert_series(SecantInstance(1, d, k))
             assert series.numerator == QPolynomial([1] * d)
 
+    def test_krull_dim_zero_rejected(self):
+        with pytest.raises(DomainError, match="^krull_dim 0 must be positive$"):
+            HilbertSeries(QPolynomial([1]), 0)
+
+    @pytest.mark.parametrize("coefficients, message", [
+        ([2, 1], "series numerator has constant term 2, expected 1"),
+        ([1, -1], "series numerator coefficient -1 at power 1 is not a nonnegative integer"),
+        ([1, Fraction(1, 2)],
+         "series numerator coefficient 1/2 at power 1 is not a nonnegative integer"),
+    ], ids=["constant-term", "negative", "fractional"])
+    def test_invalid_numerator_rejected(self, coefficients, message):
+        with pytest.raises(InternalMismatch) as caught:
+            HilbertSeries(QPolynomial(coefficients), 4)
+        assert str(caught.value) == message
+
     def test_invariants_and_expansion_on_grid(self):
         for inst in valid_grid(3, 3, 3):
             series = hilbert_series(inst)
@@ -488,6 +512,22 @@ class TestDualRouteGuard:
             monkeypatch.undo()
             core._chi.cache_clear()
             core._node_table.cache_clear()
+
+
+    def test_chi_of_the_wrong_degree_is_detected(self, monkeypatch):
+        # both routes agree, on a polynomial of degree 2k instead of 2k+1
+        import secantinv.secant_core as core
+
+        wrong = QPolynomial([1, 1, 1])
+        monkeypatch.setattr(core, "_closed_form", lambda genus, degree, order: wrong)
+        monkeypatch.setattr(core, "lagrange_interpolate", lambda nodes: wrong)
+        core._chi.cache_clear()
+        try:
+            with pytest.raises(InternalMismatch, match="has degree 2 and leading coefficient 1"):
+                core.hilbert_polynomial(SecantInstance(2, 9, 1))
+        finally:
+            monkeypatch.undo()
+            core._chi.cache_clear()
 
 
 class TestPinnedChi:
