@@ -332,28 +332,6 @@ def _instance(args: argparse.Namespace) -> SecantInstance:
     return SecantInstance(args.genus, args.degree, args.order)
 
 
-def _handle_hilbert(args) -> Document:
-    return Document({"coefficients": hilbert_polynomial(_instance(args)).to_strings()},
-                    _polynomial_layout)
-
-
-def _handle_series(args) -> Document:
-    return Document(hilbert_series(_instance(args)).to_json_dict(), _series_layout)
-
-
-def _handle_degree(args) -> Document:
-    return Document({"value": str(variety_degree(_instance(args)))}, _scalar_layout)
-
-
-def _handle_generators(args) -> Document:
-    return Document({"value": str(generator_count(_instance(args)))}, _scalar_layout)
-
-
-def _handle_coh_sym(args) -> Document:
-    table = sym_secant_table(_instance(args), args.twist)
-    return Document(table.to_json_dict(), _table_layout)
-
-
 def _handle_coh_wedge(args) -> Document:
     bundle = LineBundleClass.from_degree(args.genus, args.degree_of_l, args.h1_of_l)
     twisting = LineBundleClass.from_degree(args.genus, args.degree_of_m, args.h1_of_m)
@@ -366,25 +344,10 @@ def _handle_coh_wedge(args) -> Document:
     return Document(table.to_json_dict(), _table_layout)
 
 
-def _handle_coh_canonical(args) -> Document:
-    table = canonical_twist_table(_instance(args), args.twist)
-    return Document(table.to_json_dict(), _table_layout)
-
-
 def _handle_coh_line(args) -> Document:
     bundle = LineBundleClass.from_degree(args.genus, args.degree, args.h1_of_l)
     table = line_bundle_table(args.family, args.points, bundle)
     return Document(table.to_json_dict(), _table_layout)
-
-
-def _handle_tangent_cone(args) -> Document:
-    descriptor = tangent_cone_at(_instance(args), args.stratum)
-    return Document(descriptor.to_json_dict(), _record_layout)
-
-
-def _handle_cone(args) -> Document:
-    cone = cone_over_secant(_instance(args), args.vertex_count)
-    return Document(cone.to_json_dict(), _record_layout)
 
 
 def _handle_sweep(args) -> Document:
@@ -439,16 +402,22 @@ def _handle_validate(args) -> Document:
 
 
 _HANDLERS = {
-    "hilbert": _handle_hilbert,
-    "series": _handle_series,
-    "degree": _handle_degree,
-    "generators": _handle_generators,
-    "coh-sym": _handle_coh_sym,
+    "hilbert": lambda args: Document(
+        {"coefficients": hilbert_polynomial(_instance(args)).to_strings()}, _polynomial_layout),
+    "series": lambda args: Document(hilbert_series(_instance(args)).to_json_dict(), _series_layout),
+    "degree": lambda args: Document({"value": str(variety_degree(_instance(args)))}, _scalar_layout),
+    "generators": lambda args: Document(
+        {"value": str(generator_count(_instance(args)))}, _scalar_layout),
+    "coh-sym": lambda args: Document(
+        sym_secant_table(_instance(args), args.twist).to_json_dict(), _table_layout),
     "coh-wedge": _handle_coh_wedge,
-    "coh-canonical": _handle_coh_canonical,
+    "coh-canonical": lambda args: Document(
+        canonical_twist_table(_instance(args), args.twist).to_json_dict(), _table_layout),
     "coh-line": _handle_coh_line,
-    "tangent-cone": _handle_tangent_cone,
-    "cone": _handle_cone,
+    "tangent-cone": lambda args: Document(
+        tangent_cone_at(_instance(args), args.stratum).to_json_dict(), _record_layout),
+    "cone": lambda args: Document(
+        cone_over_secant(_instance(args), args.vertex_count).to_json_dict(), _record_layout),
     "sweep": _handle_sweep,
     "validate": _handle_validate,
 }

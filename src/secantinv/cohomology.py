@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import binomial
-from .secant_core import SecantInstance, hilbert_function, hilbert_polynomial
+from .secant_core import SecantInstance, _check_genus, hilbert_function, hilbert_polynomial
 
 __all__ = [
     "LineBundleClass",
@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+# Admission limit: a line bundle's degree, h1 and h0 are below this in
+# absolute value, checked first with the genus, so that every sum a later
+# message prints stays inside Python's 4,300-digit int-to-str limit.
+_MAX_BUNDLE_SIZE = 10**4000
+
+
 @dataclass(frozen=True)
 class LineBundleClass:
     """Cohomological class (genus, degree, h0, h1) of a line bundle on a curve.
@@ -52,7 +58,8 @@ class LineBundleClass:
     Riemann-Roch ties the fields together: h0 - h1 = degree - genus + 1.
     Degree > 2g-2 forces h1 = 0, and negative degree forces h1 = g-1-degree
     (so h0 = 0).  In the special range 0 <= degree <= 2g-2 the degree does
-    not determine h0/h1, so they must be supplied.
+    not determine h0/h1, so they must be supplied.  The genus is at most
+    10**6, and the degree, h0 and h1 have at most 4,000 digits.
     """
 
     genus: int
@@ -62,6 +69,10 @@ class LineBundleClass:
 
     def __post_init__(self) -> None:
         g, d = self.genus, self.degree
+        _check_genus(g)
+        for label, value in (("degree", d), ("h1", self.h1), ("h0", self.h0)):
+            if abs(value) >= _MAX_BUNDLE_SIZE:
+                raise DomainError(f"{label} has more than 4000 digits")
         if d > 2 * g - 2:
             if self.h1 != 0:
                 raise DomainError(f"degree {d} > 2g-2 forces h1 = 0, got {self.h1}")
@@ -99,6 +110,7 @@ class LineBundleClass:
     ) -> "LineBundleClass":
         """Build a class from its degree, requiring h1 only when the degree
         does not force it (the special range 0 <= degree <= 2g-2)."""
+        _check_genus(genus)
         if h1 is None:
             if 0 <= degree <= 2 * genus - 2:
                 raise AmbiguousBundle(

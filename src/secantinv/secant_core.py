@@ -22,7 +22,7 @@ and appends new ones; asking for a lower order reads its row.  The
 polynomial is then computed twice, by Gregory-Newton forward differences
 and by Newton divided differences, both in integer arithmetic with one
 ``Fraction`` per coefficient, and the two must agree exactly.  Orders above
-200 are refused.
+200, genera above 10**6 and degrees above 10**9 are refused.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -60,10 +60,20 @@ __all__ = [
 # of a chi build grow with the order without bound.
 _MAX_ORDER = 200
 
+# Admission limits: the largest genus, also of a line bundle, and degree.  At
+# (10**6, 10**9, 200) and twist 10**6 a value has under 3,000 digits.
+_MAX_GENUS = 10**6
+_MAX_DEGREE = 10**9
+
+
+def _check_genus(genus: int) -> None:
+    if genus > _MAX_GENUS:
+        raise DomainError(f"genus {genus} exceeds the maximum {_MAX_GENUS}")
+
 
 @dataclass(frozen=True)
 class SecantInstance:
-    """(genus, degree, order) = (g, d, k) with d >= 2g+2k+1 and k <= 200."""
+    """(genus, degree, order) = (g, d, k), d >= 2g+2k+1, g <= 10**6, d <= 10**9, k <= 200."""
 
     genus: int
     degree: int
@@ -72,10 +82,13 @@ class SecantInstance:
     def __post_init__(self) -> None:
         if self.genus < 0:
             raise DomainError(f"genus {self.genus} must be nonnegative")
+        _check_genus(self.genus)
         if self.order < 0:
             raise DomainError(f"order {self.order} must be nonnegative")
         if self.order > _MAX_ORDER:
             raise DomainError(f"order {self.order} exceeds the maximum order {_MAX_ORDER}")
+        if self.degree > _MAX_DEGREE:
+            raise DomainError(f"degree {self.degree} exceeds the maximum {_MAX_DEGREE}")
         bound = 2 * self.genus + 2 * self.order + 1
         if self.degree < bound:
             raise DomainError(

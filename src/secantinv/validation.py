@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -359,10 +360,14 @@ def check_tangent_dimension_bookkeeping() -> Optional[str]:
 
 
 def check_tangent_degree_compatibility() -> Optional[str]:
-    for inst in _grid(3, 3, 3):
-        for s in range(inst.order + 1):
-            desc = tangent_cone_at(inst, s)
-            assert desc.series.numerator(1) == desc.multiplicity, (inst, s)
+    # At genus 0 the base at stratum s is the order-(k-s-1) secant variety of
+    # a rational normal curve of degree e = d-2s-2, of degree C(e-j, j+1) at
+    # order j, so the multiplicity is C(d-s-k-1, k-s), which is 1 at s = k.
+    for inst in _grid(0, 6, 8):
+        d, k = inst.degree, inst.order
+        for s in range(k + 1):
+            closed_form = math.comb(d - s - k - 1, k - s)
+            assert tangent_cone_at(inst, s).multiplicity == closed_form, (inst, s)
     return None
 
 

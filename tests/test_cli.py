@@ -266,6 +266,11 @@ class TestSweep:
         assert out.splitlines() == ["genus,degree,order,value", "2,9,1,26"]
 
 
+# the longest int argparse accepts, past which str() refuses to print
+NINES = "9" * 4300
+HALF_NINES = str((int(NINES) - 1) // 2)
+
+
 class TestAdmissionLimits:
     @pytest.mark.parametrize("argv, message", [
         (["degree", "--genus", "0", "--degree", "1000", "--order", "201"],
@@ -311,6 +316,40 @@ class TestAdmissionLimits:
          "h0 of LM exceeds the maximum 1000000"),
         (["cone", "--genus", "0", "--degree", "4", "--order", "1", "--vertex-count", "1000001"],
          "vertex_count 1000001 exceeds the maximum 1000000"),
+        # each of these printed a traceback: an output, or an integer that a
+        # message derived, had more than 4,300 digits
+        pytest.param(["degree", "--genus", NINES, "--degree", "1", "--order", "0"],
+                     f"genus {NINES} exceeds the maximum 1000000", id="degree-huge-genus"),
+        pytest.param(["generators", "--genus", HALF_NINES, "--degree", NINES, "--order", "0"],
+                     f"genus {HALF_NINES} exceeds the maximum 1000000",
+                     id="generators-huge-genus-and-degree"),
+        pytest.param(["degree", "--genus", "0", "--degree", str(10**30), "--order", "200"],
+                     f"degree {10**30} exceeds the maximum 1000000000", id="degree-10**30"),
+        pytest.param(["degree", "--genus", str(10**25), "--degree", str(2 * 10**25 + 401),
+                      "--order", "200"],
+                     f"genus {10**25} exceeds the maximum 1000000", id="degree-genus-10**25"),
+        pytest.param(["coh-line", "--family", "N", "--points", "1", "--genus", NINES,
+                      "--degree", f"-{NINES}", "--h1-of-L", "0"],
+                     f"genus {NINES} exceeds the maximum 1000000", id="coh-line-forced-h1"),
+        pytest.param(["coh-line", "--family", "N", "--points", "1", "--genus", NINES,
+                      "--degree", "5", "--h1-of-L", f"-{NINES}"],
+                     f"genus {NINES} exceeds the maximum 1000000", id="coh-line-h0-sign"),
+        pytest.param(["coh-line", "--family", "N", "--points", "1", "--genus", "2",
+                      "--degree", f"-{NINES}", "--h1-of-L", "0"],
+                     "degree has more than 4000 digits", id="coh-line-huge-degree"),
+        pytest.param(["coh-line", "--family", "N", "--points", "1", "--genus", "4",
+                      "--degree", "0", "--h1-of-L", f"-{NINES}"],
+                     "h1 has more than 4000 digits", id="coh-line-huge-h1"),
+        pytest.param(["coh-line", "--family", "N", "--points", "1", "--genus", NINES,
+                      "--degree", "5"],
+                     f"genus {NINES} exceeds the maximum 1000000", id="coh-line-special-range"),
+        pytest.param(["coh-wedge", "--genus", "2", "--points", "2", "--twist", "1",
+                      "--degree-of-L", NINES, "--degree-of-M", NINES, "--h1-of-LM", "1"],
+                     "degree has more than 4000 digits", id="coh-wedge-product-degree"),
+        # the largest bundle degree the class admits; its h0 is then refused
+        pytest.param(["coh-line", "--family", "N", "--points", "1", "--genus", "2",
+                      "--degree", str(10**4000 - 1)],
+                     "h0 of L exceeds the maximum 1000000", id="coh-line-largest-bundle-degree"),
     ])
     def test_rejected_before_any_work(self, argv, message):
         assert invoke(argv) == (2, "", f"error: domain: {message}\n")
@@ -329,6 +368,10 @@ class TestAdmissionLimits:
                                  "--vertex-count", "1000000", "--format", "json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["series"]["krull_dim"] == 1000004
+
+    def test_largest_admitted_genus_and_degree(self):
+        argv = ["degree", "--genus", "1000000", "--degree", "1000000000", "--order", "0"]
+        assert invoke(argv) == (0, "1000000000\n", "")
 
     def test_largest_admitted_order(self):
         code, out, err = invoke(["degree", "--genus", "0", "--degree", "1000", "--order", "200"])

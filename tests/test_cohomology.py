@@ -61,7 +61,8 @@ class TestLineBundleClass:
         with pytest.raises(DomainError):
             LineBundleClass(2, 9, 9, 1)
 
-    # the forced h1 is checked first, then the genus, the signs and Riemann-Roch
+    # the genus bound and the sizes of degree, h1 and h0 are checked first, then
+    # the forced h1, the genus sign, the signs and Riemann-Roch
     @pytest.mark.parametrize("fields, message", [
         ((2, -3, 1, 5), "degree -3 < 0 forces h1 = 4, got 5"),
         ((2, 9, 9, 1), "degree 9 > 2g-2 forces h1 = 0, got 1"),
@@ -71,6 +72,11 @@ class TestLineBundleClass:
         ((3, 1, -1, 0), "h0 = -1, h1 = 0 must be nonnegative"),
         ((3, 4, 1, -1), "h0 = 1, h1 = -1 must be nonnegative"),
         ((3, 4, 1, 1), "h0 - h1 = 0 violates Riemann-Roch value 2"),
+        ((10**6 + 1, -3, 1, 5), "genus 1000001 exceeds the maximum 1000000"),
+        ((2, 10**4000, 0, 0), "degree has more than 4000 digits"),
+        ((2, -10**4000, 0, 0), "degree has more than 4000 digits"),
+        ((2, -3, 0, -10**4000), "h1 has more than 4000 digits"),
+        ((0, 5, 10**5000, 0), "h0 has more than 4000 digits"),
     ])
     def test_invalid_class_refused(self, fields, message):
         with pytest.raises(DomainError) as caught:

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from secantinv import (
@@ -127,6 +129,15 @@ class TestMultiplicity:
             for s in range(inst.order):
                 desc = tangent_cone_at(inst, s)
                 assert desc.multiplicity == variety_degree(desc.base)
+
+    def test_rational_normal_closed_form(self):
+        # at genus 0 the base is the order-(k-s-1) secant variety of a
+        # rational normal curve of degree e = d-2s-2, whose degree at order j
+        # is C(e-j, j+1)
+        for inst in strata_grid(0, 8, 15):
+            d, k = inst.degree, inst.order
+            for s in range(k + 1):
+                assert multiplicity_along_stratum(inst, s) == comb(d - s - k - 1, k - s), (inst, s)
 
     def test_smoothness_boundary(self):
         # multiplicity 1 exactly at smooth points or on rational normal
