@@ -5,11 +5,14 @@ kind: integers are Python ints, rationals are ``fractions.Fraction`` (always
 stored in lowest terms with positive denominator), and polynomials carry a
 dense ascending list of rational coefficients in the twist variable t.
 
-The two hot paths run on Python ints and build one ``Fraction`` per result:
-evaluation (:meth:`QPolynomial.__call__`) is Horner's rule over the common
-denominator of the coefficients, scaled once per polynomial, and
-:func:`lagrange_interpolate` runs a fraction-free divided-difference table
-and expands it in integers.
+Evaluation (:meth:`QPolynomial.__call__`) and :func:`lagrange_interpolate`
+run on Python ints and build one ``Fraction`` per result: evaluation is
+Horner's rule over the common denominator of the coefficients, scaled once
+per polynomial, and interpolation, one of the two routes of every chi build,
+runs a fraction-free divided-difference table and expands it in integers.
+:func:`finite_difference_numerator` derives a series numerator from values;
+the engine reads its numerator from the node values instead, and ``validate``
+and the tests compare the two.
 
 Serialization contract used across the package: a rational renders as the
 string ``"p/q"`` with q > 0 and gcd(|p|, q) = 1, or plain ``"p"`` when q = 1;

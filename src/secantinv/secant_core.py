@@ -21,8 +21,11 @@ row is extended).  Asking for a higher order deepens the rows built so far
 and appends new ones; asking for a lower order reads its row.  The
 polynomial is then computed twice, by Gregory-Newton forward differences
 and by Newton divided differences, both in integer arithmetic with one
-``Fraction`` per coefficient, and the two must agree exactly.  Orders above
-200, genera above 10**6 and degrees above 10**9 are refused.
+``Fraction`` per coefficient, and the two must agree exactly.  The Hilbert
+series numerator is read from the node values too, by differences and
+Stanley's reciprocity, and checked against chi: its value at 1 must be the
+degree, and its expansion at twist k+2 must be chi(k+2).  Orders above 200,
+genera above 10**6 and degrees above 10**9 are refused.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -35,12 +38,12 @@ import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
 from .errors import DomainError, GeneratorDegreeUnknown, InternalMismatch
-from .exactmath import QPolynomial, binomial, lagrange_interpolate, finite_difference_numerator
+from .exactmath import QPolynomial, binomial, lagrange_interpolate
 
 __all__ = [
     "SecantInstance",
@@ -327,15 +330,44 @@ def variety_degree(inst: SecantInstance) -> int:
     return int(value)
 
 
+def _series_numerator(genus: int, degree: int, order: int) -> list[int]:
+    """Coefficients Q_0..Q_K of the series numerator, K = 2k+2, read from the
+    node values with no evaluation of chi.
+
+    Q is the Hilbert function times (1-t)^K, so Q_0..Q_{k+1} are the first
+    k+2 entries of K backward differences of 1, chi(1), ..., chi(k+1).  By
+    Stanley's reciprocity, sum_{n>=1} chi(-n) t^n = -sum_{n>=0} chi(n) t^-n as
+    rational functions, so for even K the same passes over 1 - chi(0),
+    -chi(-1), ..., -chi(-k) give Q_K down to Q_{k+2}."""
+    k = order
+    nodes = _node_values(genus, degree, order)
+    # reversed(nodes[:k]), not nodes[k-1::-1], which is every node at k = 0
+    head = [1, *nodes[k + 1:]]
+    tail = [1 - nodes[k], *(-v for v in reversed(nodes[:k]))]
+    for _ in range(2 * k + 2):
+        head = list(map(operator.sub, head, [0, *head]))
+        tail = list(map(operator.sub, tail, [0, *tail]))
+    return head + tail[::-1]
+
+
 def hilbert_series(inst: SecantInstance) -> HilbertSeries:
-    """Hilbert series numerator over (1-t)^{2k+2} via finite differences."""
-    numerator = finite_difference_numerator(partial(hilbert_function, inst), inst.krull_dim,
-                                            inst.krull_dim + 2)
+    """Hilbert series numerator over (1-t)^{2k+2}, read from the node values.
+
+    Q(1) must be the degree of the variety, and the expansion at twist k+2,
+    the lowest twist outside the node range, must be chi(k+2); otherwise
+    :class:`InternalMismatch` is raised."""
+    k = inst.order
+    numerator = QPolynomial(_series_numerator(inst.genus, inst.degree, k))
     series = HilbertSeries(numerator, inst.krull_dim)
     if series.degree() != variety_degree(inst):
         raise InternalMismatch(
             f"series numerator at 1 gives {series.degree()}, "
             f"variety degree is {variety_degree(inst)}"
+        )
+    expanded, value = series.expand(k + 3)[k + 2], hilbert_function(inst, k + 2)
+    if expanded != value:
+        raise InternalMismatch(
+            f"series expansion at twist {k + 2} gives {expanded}, chi gives {value}"
         )
     return series
 

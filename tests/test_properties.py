@@ -37,7 +37,7 @@ from oracles import (
     hypersurface_chi,
     order1_chi,
 )
-from test_secant_core import full_depth_node_table
+from test_secant_core import full_depth_node_table, horner_route_numerator
 
 checked = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -117,6 +117,12 @@ def test_series_numerator_is_nonnegative(inst):
     assert numerator.coefficient(0) == 1
     assert all(c.denominator == 1 and c >= 0 for c in numerator.coefficients)
     assert numerator(1) == variety_degree(inst)
+
+
+@checked
+@given(instances())
+def test_series_numerator_matches_horner_route(inst):
+    assert hilbert_series(inst).numerator == horner_route_numerator(inst)
 
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)

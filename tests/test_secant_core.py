@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from secantinv import (
     binomial,
     binomial_poly,
     canonical_h0,
+    finite_difference_numerator,
     generator_count,
     hilbert_function,
     hilbert_polynomial,
@@ -50,6 +52,14 @@ def full_depth_node_table(genus, degree, order):
             row[index] = -sum(w * row[index + m] for m, w in enumerate(steps, 1))
         rows.append(row)
     return tuple(rows[k])
+
+
+def horner_route_numerator(inst):
+    """Reference series numerator: the Hilbert function evaluated from chi
+    at twists 0..2k+4 and differenced, as the engine did before it read the
+    numerator from the node values."""
+    return finite_difference_numerator(partial(hilbert_function, inst), inst.krull_dim,
+                                       inst.krull_dim + 2)
 
 
 def valid_grid(max_genus, max_order, degree_span):
@@ -428,6 +438,54 @@ class TestHilbertSeries:
                 hilbert_function(inst, n) for n in range(2 * inst.order + 7)
             ]
             assert expanded == expected
+
+
+class TestSeriesFromNodeValues:
+    """hilbert_series reads Q from the node values; the Horner route above is
+    the reference, and the expansion at twist k+2 ties Q to chi."""
+
+    def test_matches_horner_route_on_grid(self):
+        grid = list(valid_grid(6, 12, 7))
+        # every (g, k) cell, k = 0 included, at the boundary degree 2g+2k+1
+        boundary = {(inst.genus, inst.order) for inst in grid
+                    if inst.degree == 2 * inst.genus + 2 * inst.order + 1}
+        assert boundary == {(g, k) for g in range(7) for k in range(13)}
+        for inst in grid:
+            assert hilbert_series(inst).numerator == horner_route_numerator(inst), inst
+
+    def test_expansion_check_is_live(self, monkeypatch):
+        import secantinv.secant_core as core
+
+        inst = SecantInstance(2, 9, 1)
+        real = core._series_numerator
+        assert real(2, 9, 1)[1] >= 1
+
+        def shifted(genus, degree, order):
+            # Q(1) and Q >= 0 hold, so only the expansion at twist k+2 can see it
+            q = real(genus, degree, order)
+            q[1] -= 1
+            q[2] += 1
+            return q
+
+        monkeypatch.setattr(core, "_series_numerator", shifted)
+        with pytest.raises(InternalMismatch, match="^series expansion at twist 3 gives "):
+            hilbert_series(inst)
+
+    def test_chi_is_evaluated_once(self, monkeypatch):
+        import secantinv.secant_core as core
+
+        inst = SecantInstance(3, 40, 12)
+        hilbert_polynomial(inst)
+        twists = []
+        real = core.hilbert_function
+
+        def counted(inst, twist):
+            twists.append(twist)
+            return real(inst, twist)
+
+        monkeypatch.setattr(core, "hilbert_function", counted)
+        hilbert_series(inst)
+        assert twists == [14]
 
 
 class TestGeneratorCount:

@@ -15,6 +15,8 @@ from secantinv import (
     variety_degree,
 )
 
+from test_secant_core import horner_route_numerator
+
 
 def strata_grid(max_genus, max_order, degree_span):
     for g in range(max_genus + 1):
@@ -107,6 +109,23 @@ class TestConeOverSecant:
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(DomainError):
             cone_over_secant(SecantInstance(0, 4, 1), -1)
+
+
+class TestOrderZeroBases:
+    """At k = 1 the singular stratum's base is an order-0 instance, where the
+    numerator reads no negative-twist node."""
+
+    def test_numerators_match_horner_route(self):
+        for g in range(5):
+            for d in range(2 * g + 3, 2 * g + 8):
+                inst = SecantInstance(g, d, 1)
+                desc = tangent_cone_at(inst, 0)
+                assert desc.base.order == 0
+                assert desc.series.numerator == horner_route_numerator(desc.base), inst
+                for m in range(4):
+                    for variety in (desc.base, inst):
+                        cone = cone_over_secant(variety, m).series
+                        assert cone.numerator == horner_route_numerator(variety), (variety, m)
 
 
 class TestMultiplicity:
