@@ -23,8 +23,8 @@ polynomial is then computed twice, by Gregory-Newton forward differences
 and by Newton divided differences, both in integer arithmetic with one
 ``Fraction`` per coefficient, and the two must agree exactly.  The Hilbert
 series numerator is read from the node values too, by differences and
-Stanley's reciprocity, and checked against chi: its value at 1 must be the
-degree, and its expansion at twist k+2 must be chi(k+2).  Orders above 200,
+Stanley's reciprocity; its integer coefficients must sum to the degree, and
+one sum over them, the expansion at twist k+2, to chi(k+2).  Orders above 200,
 genera above 10**6 and degrees above 10**9 are refused.
 
 The twist variable is written t throughout; s is reserved for stratum
@@ -353,18 +353,19 @@ def _series_numerator(genus: int, degree: int, order: int) -> list[int]:
 def hilbert_series(inst: SecantInstance) -> HilbertSeries:
     """Hilbert series numerator over (1-t)^{2k+2}, read from the node values.
 
-    Q(1) must be the degree of the variety, and the expansion at twist k+2,
-    the lowest twist outside the node range, must be chi(k+2); otherwise
-    :class:`InternalMismatch` is raised."""
+    On the integer coefficients Q_0..Q_K, K = 2k+2: Q(1) must be the degree,
+    and sum_{j=0..k+2} Q_j C(k+1-j+K, K-1), the expansion at twist k+2, must
+    be chi(k+2); otherwise :class:`InternalMismatch` is raised."""
     k = inst.order
-    numerator = QPolynomial(_series_numerator(inst.genus, inst.degree, k))
-    series = HilbertSeries(numerator, inst.krull_dim)
-    if series.degree() != variety_degree(inst):
+    q = _series_numerator(inst.genus, inst.degree, k)
+    series = HilbertSeries(QPolynomial(q), inst.krull_dim)
+    if sum(q) != variety_degree(inst):
         raise InternalMismatch(
-            f"series numerator at 1 gives {series.degree()}, "
+            f"series numerator at 1 gives {sum(q)}, "
             f"variety degree is {variety_degree(inst)}"
         )
-    expanded, value = series.expand(k + 3)[k + 2], hilbert_function(inst, k + 2)
+    expanded = sum(c * math.comb(3 * k + 3 - j, 2 * k + 1) for j, c in enumerate(q[:k + 3]))
+    value = hilbert_function(inst, k + 2)
     if expanded != value:
         raise InternalMismatch(
             f"series expansion at twist {k + 2} gives {expanded}, chi gives {value}"

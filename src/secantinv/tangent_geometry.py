@@ -4,9 +4,9 @@ A point of the k-th secant variety lying on the stratum of order s (on the
 order-s secant variety but no lower one) has a projectivized tangent cone
 that is itself a cone: the vertex is a linear space of projective dimension
 2s and the base is the order-(k-s-1) secant variety of the same curve
-re-embedded with degree d - 2s - 2.  Every numerical invariant of the cone
-depends on the point only through s, so descriptors are keyed by the
-stratum index alone.
+re-embedded with degree d - 2s - 2; the cone's series is that of
+``cone_over_secant(base, 2s + 1)``.  Every numerical invariant depends on the
+point only through s, so descriptors are keyed by the stratum index alone.
 
 The multiplicity of the local ring equals the degree of the projectivized
 tangent cone, and adjoining a disjoint linear vertex leaves both the series
@@ -99,11 +99,10 @@ def tangent_cone_at(inst: SecantInstance, stratum: int) -> TangentConeDescriptor
         raise StratumOutOfRange(f"stratum {stratum} outside 0..{k}")
     if stratum == k:
         # Smooth point: the tangent cone is the full projectivized tangent space.
-        base, numerator = SMOOTH_POINT, QPolynomial.constant(1)
+        base, series = SMOOTH_POINT, HilbertSeries(QPolynomial.constant(1), 2 * k + 1)
     else:
         base = SecantInstance(inst.genus, inst.degree - 2 * stratum - 2, k - stratum - 1)
-        numerator = hilbert_series(base).numerator
-    series = HilbertSeries(numerator, 2 * k + 1)
+        series = cone_over_secant(base, 2 * stratum + 1).series
     return TangentConeDescriptor(
         ambient=inst,
         stratum=stratum,

@@ -776,6 +776,22 @@ _PINNED_JSON = [
     pytest.param("tangent-cone --genus 2 --degree 9 --order 1 --stratum 1 --format json", 0,
                  "37f4e11cab3897c00d47fb7611715edc069778e12df51cdcf777f2d8e8eadac9",
                  id="tangent-cone-smooth-json"),
+    # the tangent cone at strata 0, k/2, k-1 and k, and a cone with a plane vertex
+    pytest.param("tangent-cone --genus 5 --degree 95 --order 40 --stratum 0 --format json", 0,
+                 "086afe12bd481358c4ad6fd10b634072cbdfc1410bdb6e099675435aeece8262",
+                 id="tangent-cone-s0-json"),
+    pytest.param("tangent-cone --genus 5 --degree 95 --order 40 --stratum 20 --format json", 0,
+                 "2404d2cf44d32f09f599e0f55a3688110f1bb563237606ce0e56e1ff8af8e322",
+                 id="tangent-cone-s20-json"),
+    pytest.param("tangent-cone --genus 5 --degree 95 --order 40 --stratum 39 --format json", 0,
+                 "dbb1cc150c4857f904c4bbd8098350f47f6641f1584fdae5aacf1dffb825c82e",
+                 id="tangent-cone-s39-json"),
+    pytest.param("tangent-cone --genus 5 --degree 95 --order 40 --stratum 40 --format json", 0,
+                 "ed8621bb41e385c6d8b97a57aad5840e2b60f671f9e2c88f0defa563399a960a",
+                 id="tangent-cone-s40-json"),
+    pytest.param("cone --genus 5 --degree 95 --order 40 --vertex-count 3 --format json", 0,
+                 "e3b809ad7325c7f956c130ab41f11961405cbe8a20383c634d94011b5380390e",
+                 id="cone-m3-json"),
     pytest.param("sweep --genus-range 0:0 --degree-range 4:4 --order-range 0:1"
                  " --invariant hilbert --twist 2 --format json", 0,
                  "5ab699156fd7fa5a4fd0fb13cd48eba3f7ef277e829189ef8ddcd21872b5f434",

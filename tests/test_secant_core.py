@@ -471,6 +471,27 @@ class TestSeriesFromNodeValues:
         with pytest.raises(InternalMismatch, match="^series expansion at twist 3 gives "):
             hilbert_series(inst)
 
+    def test_one_sum_is_the_expansion_at_k_plus_2(self):
+        for inst in valid_grid(6, 12, 7):
+            k, K = inst.order, inst.krull_dim
+            series = hilbert_series(inst)
+            q = series.numerator.coefficients[:k + 3]
+            one_sum = sum(c * comb(k + 1 - j + K, K - 1) for j, c in enumerate(q))
+            assert one_sum == series.expand(k + 3)[k + 2] == hilbert_function(inst, k + 2), inst
+
+    @pytest.mark.parametrize("g, d, k, digest", [
+        (5, 35, 10, "ab392c2f6b32291994430dafe702adad84b0000be64eefc5f56b59046bad7b1d"),
+        (5, 95, 40, "8ba74b0320b022d5431091b6bd6d0df7cc6935615dc160f3645093a29aaeec58"),
+    ])
+    def test_checks_read_no_expansion(self, monkeypatch, g, d, k, digest):
+        def forbidden(*args):
+            raise AssertionError("hilbert_series must check Q on its integer coefficients")
+
+        monkeypatch.setattr(HilbertSeries, "expand", forbidden)
+        monkeypatch.setattr(HilbertSeries, "degree", forbidden)
+        wire = ",".join(hilbert_series(SecantInstance(g, d, k)).numerator.to_strings())
+        assert hashlib.sha256(wire.encode()).hexdigest() == digest
+
     def test_chi_is_evaluated_once(self, monkeypatch):
         import secantinv.secant_core as core
 

@@ -87,6 +87,22 @@ class TestTangentConeAt:
         assert tangent_cone_at(SecantInstance(2, 9, 1), 0).base_is_fano is False
 
 
+class TestTangentConeIsACone:
+    """Off the smooth locus the tangent cone at stratum s is the cone with a
+    2s-plane vertex (2s+1 extra coordinates) over the base secant variety."""
+
+    def test_series_is_the_cone_over_the_base(self):
+        for inst in strata_grid(3, 4, 3):
+            g, d, k = inst.genus, inst.degree, inst.order
+            for s in range(k):
+                base = SecantInstance(g, d - 2 * s - 2, k - s - 1)
+                cone = cone_over_secant(base, 2 * s + 1)
+                assert tangent_cone_at(inst, s).series == cone.series, (inst, s)
+            smooth = tangent_cone_at(inst, k).series
+            assert smooth.numerator == QPolynomial([1]), inst
+            assert smooth.krull_dim == 2 * k + 1, inst
+
+
 class TestConeOverSecant:
     def test_vertex_adjunction_preserves_numerator(self):
         inst = SecantInstance(0, 4, 1)
