@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence, TextIO
 from .cohomology import (
     TABLE_PARAMS,
     LineBundleClass,
-    _check_twist,
     canonical_twist_table,
     line_bundle_table,
     sym_secant_table,
@@ -35,8 +34,10 @@ from .cohomology import (
 from .errors import DomainError, SecantInvError, UsageError
 from .exactmath import QPolynomial
 from .secant_core import (
-    _MAX_ORDER,
+    _MAX_TWIST,
     SecantInstance,
+    _at_most,
+    _check_order,
     canonical_h0,
     generator_count,
     hilbert_function,
@@ -361,12 +362,12 @@ def _handle_sweep(args) -> Document:
     requested = math.prod(r.stop - r.start for r in grid)  # len() overflows past 2**63
     if requested > _MAX_SWEEP_CELLS:
         raise DomainError(f"sweep grid has {requested} cells, more than the maximum {_MAX_SWEEP_CELLS}")
-    if args.order_range[-1] > _MAX_ORDER:
-        raise DomainError(f"order {args.order_range[-1]} exceeds the maximum order {_MAX_ORDER}")
-    if args.invariant == "hilbert" and args.twist < 0:
-        raise DomainError(f"twist {args.twist} must be nonnegative for --invariant hilbert")
+    # a cell past a limit is skipped, so the limits every cell shares are checked first
+    _check_order(args.order_range[-1])
     if args.invariant == "hilbert":
-        _check_twist(args.twist)
+        if args.twist < 0:
+            raise DomainError(f"twist {args.twist} must be nonnegative for --invariant hilbert")
+        _at_most("twist", args.twist, _MAX_TWIST)
     cells = []
     notes = []
     for g in args.genus_range:

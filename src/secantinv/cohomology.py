@@ -24,7 +24,8 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import binomial
-from .secant_core import SecantInstance, _check_genus, hilbert_function, hilbert_polynomial
+from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _at_most, hilbert_function,
+                          hilbert_polynomial)
 
 __all__ = [
     "LineBundleClass",
@@ -69,7 +70,7 @@ class LineBundleClass:
 
     def __post_init__(self) -> None:
         g, d = self.genus, self.degree
-        _check_genus(g)
+        _at_most("genus", g, _MAX_GENUS)
         for label, value in (("degree", d), ("h1", self.h1), ("h0", self.h0)):
             if abs(value) >= _MAX_BUNDLE_SIZE:
                 raise DomainError(f"{label} has more than 4000 digits")
@@ -110,7 +111,7 @@ class LineBundleClass:
     ) -> "LineBundleClass":
         """Build a class from its degree, requiring h1 only when the degree
         does not force it (the special range 0 <= degree <= 2g-2)."""
-        _check_genus(genus)
+        _at_most("genus", genus, _MAX_GENUS)
         if h1 is None:
             if 0 <= degree <= 2 * genus - 2:
                 raise AmbiguousBundle(
@@ -144,23 +145,11 @@ _MAX_POINTS = 1000
 def _check_points(points: int) -> None:
     if points < 1:
         raise DomainError(f"points {points} must be positive")
-    if points > _MAX_POINTS:
-        raise DomainError(f"points {points} exceeds the maximum {_MAX_POINTS}")
-
-
-# Admission limit: the largest twist accepted by the secant-sheaf tables and
-# the Hilbert sweep.  At this twist, degree 1000 and the largest admitted order
-# a value has under 2,000 digits, inside Python's 4,300-digit int-to-str limit.
-_MAX_TWIST = 10**6
-
-
-def _check_twist(twist: int) -> None:
-    if twist > _MAX_TWIST:
-        raise DomainError(f"twist {twist} exceeds the maximum {_MAX_TWIST}")
+    _at_most("points", points, _MAX_POINTS)
 
 
 # Admission limit: the largest h0 or h1 of a bundle given to the line-bundle
-# and wedge tables.  With the largest admitted points a value then has at
+# and wedge families.  With the largest admitted points a value then has at
 # most about 3,700 digits (line bundle) or 4,030 (wedge, all four factors at
 # the limit), inside Python's 4,300-digit int-to-str limit.
 _MAX_SECTIONS = 10**6
@@ -177,6 +166,7 @@ def coh_determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the determinant of the
     tautological sheaf of ``bundle``: wedge^{m-i} h0 times sym^i h1."""
     _check_points(points)
+    _check_sections(L=bundle)
     factor = sym_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
     return factor and wedge_dim(bundle.h0, points - i) * factor
 
@@ -185,6 +175,7 @@ def coh_descent_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the invariant descent of
     the box power of ``bundle``: sym^{m-i} h0 times wedge^i h1."""
     _check_points(points)
+    _check_sections(L=bundle)
     factor = wedge_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
     return factor and sym_dim(bundle.h0, points - i) * factor
 
@@ -252,6 +243,18 @@ def _product_class(
     )
 
 
+def _wedge_product(points: int, twist: int, bundle: LineBundleClass, twisting: LineBundleClass,
+                   product: Optional[LineBundleClass]) -> LineBundleClass:
+    """The product class of the wedge family, after its checks in this order:
+    points, the product class, the sections of L, M and LM, the twist range."""
+    _check_points(points)
+    product = _product_class(bundle, twisting, product)
+    _check_sections(L=bundle, M=twisting, LM=product)
+    if not 1 <= twist <= points:
+        raise DomainError(f"twist {twist} must lie in 1..{points}")
+    return product
+
+
 def _wedge_factors(points: int, twist: int, twisting: LineBundleClass,
                    product: LineBundleClass, top: int) -> tuple[list[int], list[int]]:
     """The two Kunneth factors of the wedge family up to index ``top``: h^p of
@@ -280,12 +283,9 @@ def coh_wedge_secant_sheaf(
     derived when its degree forces it and must be supplied otherwise.
     No positivity is required of either input bundle.
     """
-    _check_points(points)
-    if not 1 <= twist <= points:
-        raise DomainError(f"twist {twist} must lie in 1..{points}")
+    prod = _wedge_product(points, twist, bundle, twisting, product)
     if not 0 <= i <= points:
         raise DomainError(f"cohomological index {i} must lie in 0..{points}")
-    prod = _product_class(bundle, twisting, product)
     left, right = _wedge_factors(points, twist, twisting, prod, i)
     return sum(a * right[i - p] for p, a in enumerate(left) if i - p < len(right))
 
@@ -293,9 +293,10 @@ def coh_wedge_secant_sheaf(
 def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     """h^i of the canonical-twisted symmetric powers for twist > 0: -chi at
     twist -twist of the order-(k-i) secant variety for i in {0, 1} with
-    i <= k, and 0 otherwise."""
+    i <= k, and 0 otherwise.  Twists above 10**6 are refused."""
     if twist <= 0:
         raise DomainError(f"coh_canonical_twist needs twist > 0, got {twist}")
+    _at_most("twist", twist, _MAX_TWIST)
     g, d, k = inst.genus, inst.degree, inst.order
     if not 0 <= i <= min(1, k):
         return 0
@@ -368,13 +369,10 @@ def line_bundle_table(
 ) -> CohomologyTable:
     """Table of h^i, i = 0..points, for the "N" (determinant) or "T"
     (descent) line-bundle family on the points-th symmetric product."""
-    _check_points(points)
-    _check_sections(L=bundle)
-    if family == "N":
-        op = coh_determinant_line
-    elif family == "T":
-        op = coh_descent_line
-    else:
+    if points < 1:  # below 0 the map is empty, and no entry refuses it
+        raise DomainError(f"points {points} must be positive")
+    op = {"N": coh_determinant_line, "T": coh_descent_line}.get(family)
+    if op is None:
         raise DomainError(f"unknown line-bundle family {family!r}, expected N or T")
     dims = (op(points, bundle, i) for i in range(points + 1))
     return _table(family, (points, bundle.genus, bundle.degree, bundle.h0, bundle.h1),
@@ -382,7 +380,6 @@ def line_bundle_table(
 
 
 def sym_secant_table(inst: SecantInstance, twist: int) -> CohomologyTable:
-    _check_twist(twist)
     dims = (coh_sym_secant_sheaf(inst, twist, i) for i in range(inst.order + 2))
     return _table("SymE", (inst.genus, inst.degree, inst.order, twist), twist, dims)
 
@@ -394,11 +391,7 @@ def wedge_secant_table(
     twisting: LineBundleClass,
     product: Optional[LineBundleClass] = None,
 ) -> CohomologyTable:
-    _check_points(points)
-    product = _product_class(bundle, twisting, product)
-    _check_sections(L=bundle, M=twisting, LM=product)
-    if not 1 <= twist <= points:
-        raise DomainError(f"twist {twist} must lie in 1..{points}")
+    product = _wedge_product(points, twist, bundle, twisting, product)
     left, right = _wedge_factors(points, twist, twisting, product, points)
     nonzero = [(q, b) for q, b in enumerate(right) if b]
     dims = [0] * (points + 1)
@@ -412,6 +405,5 @@ def wedge_secant_table(
 
 
 def canonical_twist_table(inst: SecantInstance, twist: int) -> CohomologyTable:
-    _check_twist(twist)
     dims = (coh_canonical_twist(inst, twist, i) for i in range(inst.order + 2))
     return _table("CanonicalSymE", (inst.genus, inst.degree, inst.order, twist), twist, dims)

@@ -25,7 +25,7 @@ and by Newton divided differences, both in integer arithmetic with one
 series numerator is read from the node values too, by differences and
 Stanley's reciprocity; its integer coefficients must sum to the degree, and
 one sum over them, the expansion at twist k+2, to chi(k+2).  Orders above 200,
-genera above 10**6 and degrees above 10**9 are refused.
+genera above 10**6, degrees above 10**9 and twists above 10**6 are refused.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -63,15 +63,22 @@ __all__ = [
 # of a chi build grow with the order without bound.
 _MAX_ORDER = 200
 
-# Admission limits: the largest genus, also of a line bundle, and degree.  At
-# (10**6, 10**9, 200) and twist 10**6 a value has under 3,000 digits.
+# Admission limits: the largest genus, also of a line bundle, degree and twist.
+# At (10**6, 10**9, 200) and twist 10**6 a value has under 3,000 digits.
 _MAX_GENUS = 10**6
 _MAX_DEGREE = 10**9
+_MAX_TWIST = 10**6
 
 
-def _check_genus(genus: int) -> None:
-    if genus > _MAX_GENUS:
-        raise DomainError(f"genus {genus} exceeds the maximum {_MAX_GENUS}")
+def _at_most(label: str, value: int, maximum: int) -> None:
+    """Refuse ``value`` above its admission limit ``maximum``."""
+    if value > maximum:
+        raise DomainError(f"{label} {value} exceeds the maximum {maximum}")
+
+
+def _check_order(order: int) -> None:
+    if order > _MAX_ORDER:
+        raise DomainError(f"order {order} exceeds the maximum order {_MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -85,13 +92,11 @@ class SecantInstance:
     def __post_init__(self) -> None:
         if self.genus < 0:
             raise DomainError(f"genus {self.genus} must be nonnegative")
-        _check_genus(self.genus)
+        _at_most("genus", self.genus, _MAX_GENUS)
         if self.order < 0:
             raise DomainError(f"order {self.order} must be nonnegative")
-        if self.order > _MAX_ORDER:
-            raise DomainError(f"order {self.order} exceeds the maximum order {_MAX_ORDER}")
-        if self.degree > _MAX_DEGREE:
-            raise DomainError(f"degree {self.degree} exceeds the maximum {_MAX_DEGREE}")
+        _check_order(self.order)
+        _at_most("degree", self.degree, _MAX_DEGREE)
         bound = 2 * self.genus + 2 * self.order + 1
         if self.degree < bound:
             raise DomainError(
@@ -309,10 +314,11 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     """Dimension of the degree-``twist`` graded piece of the coordinate ring.
 
     Equals 1 at twist 0 (projective normality) and chi(twist) for twist > 0,
-    where all higher cohomology of the twist vanishes.
+    where all higher cohomology of the twist vanishes; twists above 10**6 are refused.
     """
     if twist < 0:
         raise DomainError(f"hilbert_function needs twist >= 0, got {twist}")
+    _at_most("twist", twist, _MAX_TWIST)
     if twist == 0:
         return 1
     value = hilbert_polynomial(inst)(twist)

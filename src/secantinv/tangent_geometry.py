@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import DomainError, StratumOutOfRange
 from .exactmath import QPolynomial
-from .secant_core import HilbertSeries, SecantInstance, hilbert_series
+from .secant_core import HilbertSeries, SecantInstance, _at_most, hilbert_series
 
 __all__ = [
     "SMOOTH_POINT",
@@ -126,8 +126,7 @@ def cone_over_secant(inst: SecantInstance, vertex_count: int) -> ConeOverSecant:
     case m = 0 is the variety itself."""
     if vertex_count < 0:
         raise DomainError(f"vertex_count {vertex_count} must be nonnegative")
-    if vertex_count > _MAX_VERTEX_COUNT:
-        raise DomainError(f"vertex_count {vertex_count} exceeds the maximum {_MAX_VERTEX_COUNT}")
+    _at_most("vertex_count", vertex_count, _MAX_VERTEX_COUNT)
     base = hilbert_series(inst)
     return ConeOverSecant(
         inst,

@@ -84,8 +84,6 @@ def check_binomial_poly_agreement() -> Optional[str]:
 
 
 def check_rational_normalization() -> Optional[str]:
-    import math
-
     samples = [
         Fraction(3, 4) + Fraction(1, 4),
         Fraction(10, 4) * Fraction(2, 5),

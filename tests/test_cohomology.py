@@ -499,6 +499,78 @@ class TestTables:
             assert all(e.dim >= 0 for e in table.entries)
 
 
+def refusal(call) -> str:
+    with pytest.raises(DomainError) as refused:
+        call()
+    return str(refused.value)
+
+
+TWIST_PAST_LIMIT = 10**6 + 1
+# (bundle, twisting): the first bundle of L, M and LM past the sections limit
+WEDGE_PAST_LIMIT = {
+    "h0 of L": (LineBundleClass.nonspecial(2, 10**9), LineBundleClass.nonspecial(2, 3)),
+    "h1 of L": (LineBundleClass.from_degree(2, -10**7), LineBundleClass.nonspecial(2, 3)),
+    "h0 of M": (LineBundleClass.nonspecial(2, 3), LineBundleClass.nonspecial(2, 10**9)),
+    "h1 of M": (LineBundleClass.nonspecial(2, 7), LineBundleClass.from_degree(2, -10**7)),
+    "h0 of LM": (LineBundleClass.nonspecial(2, 600000), LineBundleClass.nonspecial(2, 600000)),
+    "h1 of LM": (LineBundleClass.from_degree(2, -600000), LineBundleClass.from_degree(2, -600000)),
+}
+
+
+class TestAdmissionParity:
+    """Each limit is checked by the per-entry function, so a table and its
+    entries refuse the same inputs with the same message."""
+
+    @pytest.mark.parametrize("table, entry", [
+        (sym_secant_table, coh_sym_secant_sheaf),
+        (canonical_twist_table, coh_canonical_twist),
+    ], ids=["SymE", "CanonicalSymE"])
+    def test_twist(self, table, entry):
+        inst = SecantInstance(2, 9, 1)
+        message = "twist 1000001 exceeds the maximum 1000000"
+        assert refusal(lambda: table(inst, TWIST_PAST_LIMIT)) == message
+        for i in (0, 1):
+            assert refusal(lambda: entry(inst, TWIST_PAST_LIMIT, i)) == message
+
+    @pytest.mark.parametrize("family, entry", [
+        ("N", coh_determinant_line), ("T", coh_descent_line),
+    ])
+    @pytest.mark.parametrize("bundle, message", [
+        (LineBundleClass.nonspecial(2, 10**9), "h0 of L exceeds the maximum 1000000"),
+        (LineBundleClass.from_degree(2, -10**7), "h1 of L exceeds the maximum 1000000"),
+    ], ids=["h0", "h1"])
+    def test_line_bundle_sections(self, family, entry, bundle, message):
+        assert refusal(lambda: line_bundle_table(family, 3, bundle)) == message
+        for i in range(4):
+            assert refusal(lambda: entry(3, bundle, i)) == message
+
+    @pytest.mark.parametrize("label", WEDGE_PAST_LIMIT)
+    def test_wedge_sections(self, label):
+        bundle, twisting = WEDGE_PAST_LIMIT[label]
+        message = f"{label} exceeds the maximum 1000000"
+        assert refusal(lambda: wedge_secant_table(3, 1, bundle, twisting)) == message
+        for i in range(4):
+            assert refusal(lambda: coh_wedge_secant_sheaf(3, 1, bundle, twisting, i)) == message
+
+    @pytest.mark.parametrize("points, twist, bundle, twisting, product", [
+        (1001, 1, LineBundleClass.nonspecial(2, 5), LineBundleClass.nonspecial(2, 3),
+         LineBundleClass.nonspecial(2, 9)),
+        (3, 0, LineBundleClass.nonspecial(2, 5), LineBundleClass.nonspecial(2, 3),
+         LineBundleClass.nonspecial(2, 9)),
+        (3, 4, LineBundleClass.nonspecial(2, 10**9), LineBundleClass.nonspecial(2, 3), None),
+        (3, 1, LineBundleClass.nonspecial(2, 10**9), LineBundleClass.nonspecial(2, 3),
+         LineBundleClass.nonspecial(2, 9)),
+        (3, 0, LineBundleClass.nonspecial(1, 5), LineBundleClass.nonspecial(2, 3), None),
+    ], ids=["points-and-product", "twist-and-product", "twist-and-sections",
+            "sections-and-product", "twist-and-genera"])
+    def test_wedge_precedence(self, points, twist, bundle, twisting, product):
+        expected = refusal(lambda: wedge_secant_table(points, twist, bundle, twisting, product))
+        # the index range is checked after the checks the table shares
+        for i in (0, points + 1):
+            assert refusal(lambda: coh_wedge_secant_sheaf(
+                points, twist, bundle, twisting, i, product)) == expected
+
+
 class TestEulerCharacteristicProfile:
     def test_alternating_sum_is_polynomial_of_variety_degree(self):
         # the alternating sum over i of the symmetric-power dimensions, as a

@@ -364,6 +364,15 @@ class TestHilbertFunction:
         with pytest.raises(DomainError):
             hilbert_function(SecantInstance(0, 4, 1), -1)
 
+    def test_twist_admission_limit(self):
+        # the secant line variety of the rational normal quartic is a cubic
+        # hypersurface in P^4
+        inst = SecantInstance(0, 4, 1)
+        assert hilbert_function(inst, 10**6) == comb(10**6 + 4, 4) - comb(10**6 + 1, 4)
+        with pytest.raises(DomainError) as refused:
+            hilbert_function(inst, 10**6 + 1)
+        assert str(refused.value) == "twist 1000001 exceeds the maximum 1000000"
+
 
 class TestVarietyDegree:
     def test_curve_case(self):
