@@ -7,6 +7,12 @@ output is byte-identical across runs of the same request.
 
 Exit codes: 0 success; 1 failed validation; 2 usage or domain errors
 (including unknown flags); 3 internal consistency failures.
+
+The parser is built once per process and shared by every ``run``.  A command
+line whose first word names a command is parsed by that command's own parser
+alone; any other (empty, ``--help``, an unknown word, an option first) goes to
+the top-level parser.  Either way the namespace, usage message and help text
+are those of the top-level parser.
 """
 
 from __future__ import annotations
@@ -238,7 +244,10 @@ class _Parser(argparse.ArgumentParser):
     one ``error: usage: <message>`` line instead of argparse's usage block
     on the process's stderr, and ``--help`` as :class:`_HelpRequested`, so
     that ``run`` writes the text like any document.  Subparsers inherit the
-    class."""
+    class; the top-level parser's ``commands`` maps each command name to its
+    subparser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str):
         raise UsageError(message)
@@ -247,7 +256,7 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The command-line parser, built on first use and shared by every run.
 
     A plain function around the cached builder, so that the benchmark's
@@ -256,12 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="secantinv",
         description="Exact invariants of secant varieties of smooth projective curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     for name, help_text in (
         ("hilbert", "Hilbert polynomial of the secant variety"),
@@ -365,9 +375,9 @@ def _handle_sweep(args) -> Document:
     # a cell past a limit is skipped, so the limits every cell shares are checked first
     _check_order(args.order_range[-1])
     if args.invariant == "hilbert":
+        _at_most("twist", args.twist, _MAX_TWIST)
         if args.twist < 0:
             raise DomainError(f"twist {args.twist} must be nonnegative for --invariant hilbert")
-        _at_most("twist", args.twist, _MAX_TWIST)
     cells = []
     notes = []
     for g in args.genus_range:
@@ -450,6 +460,18 @@ def _write_stream(out: TextIO, text: str) -> None:
         raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace, usage error or help text that ``build_parser().parse_args``
+    gives for ``argv``.  A command line that starts with a command name goes
+    straight to that command's parser, which the top-level parser would hand
+    the rest to anyway, so it is parsed once instead of twice."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
         stderr: Optional[TextIO] = None) -> int:
     """Parse and execute one request; returns the process exit code."""
@@ -457,7 +479,7 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
     err = stderr if stderr is not None else sys.stderr
     try:
         try:
-            args = build_parser().parse_args(list(argv))
+            args = _parse(list(argv))
         except _HelpRequested as request:
             _write_stream(out, request.args[0])
             return 0

@@ -143,9 +143,9 @@ _MAX_POINTS = 1000
 
 
 def _check_points(points: int) -> None:
+    _at_most("points", points, _MAX_POINTS)
     if points < 1:
         raise DomainError(f"points {points} must be positive")
-    _at_most("points", points, _MAX_POINTS)
 
 
 # Admission limit: the largest h0 or h1 of a bundle given to the line-bundle
@@ -294,9 +294,9 @@ def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     """h^i of the canonical-twisted symmetric powers for twist > 0: -chi at
     twist -twist of the order-(k-i) secant variety for i in {0, 1} with
     i <= k, and 0 otherwise.  Twists above 10**6 are refused."""
+    _at_most("twist", twist, _MAX_TWIST)
     if twist <= 0:
         raise DomainError(f"coh_canonical_twist needs twist > 0, got {twist}")
-    _at_most("twist", twist, _MAX_TWIST)
     g, d, k = inst.genus, inst.degree, inst.order
     if not 0 <= i <= min(1, k):
         return 0
@@ -356,12 +356,10 @@ TABLE_PARAMS = {
 
 def _table(family: str, values: tuple, twist: Optional[int], dims) -> CohomologyTable:
     """The ``family`` table with parameter ``values`` in the order of
-    ``TABLE_PARAMS[family]`` and entries h^i = dims[i], i = 0, 1, ..."""
-    return CohomologyTable(
-        family,
-        tuple(zip(TABLE_PARAMS[family], map(str, values))),
-        tuple(TableEntry(i, twist, dim) for i, dim in enumerate(dims)),
-    )
+    ``TABLE_PARAMS[family]`` and entries h^i = dims[i], i = 0, 1, ...; the
+    entries come first, so that their checks refuse a value too long to print."""
+    entries = tuple(TableEntry(i, twist, dim) for i, dim in enumerate(dims))
+    return CohomologyTable(family, tuple(zip(TABLE_PARAMS[family], map(str, values))), entries)
 
 
 def line_bundle_table(

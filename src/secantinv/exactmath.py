@@ -62,11 +62,11 @@ def binomial(n: int, j: int) -> int:
 
 
 def format_rational(value: RationalLike) -> str:
-    """Render a rational as "p/q" (q > 0, lowest terms) or "p" when q = 1."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render a rational as "p/q" (q > 0, lowest terms) or "p" when q = 1,
+    which is what ``str`` gives for an int and for a ``Fraction``."""
+    if isinstance(value, int):
+        return str(int(value))  # a bool prints as 1 or 0
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -24,8 +24,13 @@ and by Newton divided differences, both in integer arithmetic with one
 ``Fraction`` per coefficient, and the two must agree exactly.  The Hilbert
 series numerator is read from the node values too, by differences and
 Stanley's reciprocity; its integer coefficients must sum to the degree, and
-one sum over them, the expansion at twist k+2, to chi(k+2).  Orders above 200,
-genera above 10**6, degrees above 10**9 and twists above 10**6 are refused.
+one sum over them, the expansion at twist k+2, to chi(k+2).  A series that
+passes both checks is kept beside the rows of its (g, d) node table and
+returned to every later request of its order, so emptying the node-table
+cache (``_node_table.cache_clear()``) empties it too; a build that fails a
+check keeps nothing.  Orders above 200, genera above 10**6, degrees above
+10**9 and twists above 10**6 are refused, and so is any of these values with
+more than 4,300 digits, which Python does not print.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, GeneratorDegreeUnknown, InternalMismatch
 from .exactmath import QPolynomial, binomial, lagrange_interpolate
@@ -70,13 +75,27 @@ _MAX_DEGREE = 10**9
 _MAX_TWIST = 10**6
 
 
+# The smallest absolute value with more than 4,300 digits, the most that
+# Python converts to a string by default.  Such a value is refused unprinted.
+_MAX_PRINTED = 10**4300
+
+
+def _printable(label: str, value: int) -> None:
+    """Refuse ``value`` when it is too long for a message to print."""
+    if abs(value) >= _MAX_PRINTED:
+        raise DomainError(f"{label} has more than 4000 digits")
+
+
 def _at_most(label: str, value: int, maximum: int) -> None:
-    """Refuse ``value`` above its admission limit ``maximum``."""
+    """Refuse ``value`` above its admission limit ``maximum``, or too long to
+    print; a caller runs it before any check whose message prints ``value``."""
+    _printable(label, value)
     if value > maximum:
         raise DomainError(f"{label} {value} exceeds the maximum {maximum}")
 
 
 def _check_order(order: int) -> None:
+    _printable("order", order)
     if order > _MAX_ORDER:
         raise DomainError(f"order {order} exceeds the maximum order {_MAX_ORDER}")
 
@@ -90,12 +109,12 @@ class SecantInstance:
     order: int
 
     def __post_init__(self) -> None:
+        _at_most("genus", self.genus, _MAX_GENUS)
         if self.genus < 0:
             raise DomainError(f"genus {self.genus} must be nonnegative")
-        _at_most("genus", self.genus, _MAX_GENUS)
+        _check_order(self.order)
         if self.order < 0:
             raise DomainError(f"order {self.order} must be nonnegative")
-        _check_order(self.order)
         _at_most("degree", self.degree, _MAX_DEGREE)
         bound = 2 * self.genus + 2 * self.order + 1
         if self.degree < bound:
@@ -192,13 +211,21 @@ class HilbertSeries:
         return {"numerator": self.numerator.to_strings(), "krull_dim": self.krull_dim}
 
 
+class _NodeTable(NamedTuple):
+    """The node table of (g, d), shared by every order: row j of ``rows``
+    holds chi_j from twist j+1 downward, so it is grown by appending rows and
+    by appending lower twists to a row.  ``series`` holds the Hilbert series
+    built so far from those rows, by order."""
+
+    rows: list[list[int]]
+    series: dict[int, HilbertSeries]
+
+
 @lru_cache(maxsize=None)
-def _node_table(genus: int, degree: int) -> list[list[int]]:
-    """The node table of (g, d), shared by every order: row j holds chi_j
-    from twist j+1 downward, so it is grown by appending rows and by
-    appending lower twists to a row.  It starts empty; :func:`_node_values`
-    grows it."""
-    return []
+def _node_table(genus: int, degree: int) -> _NodeTable:
+    """The (g, d) node table.  It starts empty; :func:`_node_values` grows
+    its rows and :func:`hilbert_series` fills its series."""
+    return _NodeTable([], {})
 
 
 # Growth of a node table is check-then-append on a list every thread of the
@@ -216,7 +243,7 @@ def _node_values(genus: int, degree: int, order: int) -> tuple[int, ...]:
     only by appending exact values, so an interrupted growth leaves a table
     that is still consistent."""
     g, d, k = genus, degree, order
-    rows = _node_table(g, d)
+    rows = _node_table(g, d).rows
     if k >= len(rows):
         with _GROWTH:
             for j, row in enumerate(rows):
@@ -316,9 +343,9 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     Equals 1 at twist 0 (projective normality) and chi(twist) for twist > 0,
     where all higher cohomology of the twist vanishes; twists above 10**6 are refused.
     """
+    _at_most("twist", twist, _MAX_TWIST)
     if twist < 0:
         raise DomainError(f"hilbert_function needs twist >= 0, got {twist}")
-    _at_most("twist", twist, _MAX_TWIST)
     if twist == 0:
         return 1
     value = hilbert_polynomial(inst)(twist)
@@ -361,8 +388,12 @@ def hilbert_series(inst: SecantInstance) -> HilbertSeries:
 
     On the integer coefficients Q_0..Q_K, K = 2k+2: Q(1) must be the degree,
     and sum_{j=0..k+2} Q_j C(k+1-j+K, K-1), the expansion at twist k+2, must
-    be chi(k+2); otherwise :class:`InternalMismatch` is raised."""
+    be chi(k+2); otherwise :class:`InternalMismatch` is raised.  A series that
+    passes is kept in the (g, d) node table, and every later call returns it."""
     k = inst.order
+    built = _node_table(inst.genus, inst.degree).series
+    if k in built:
+        return built[k]
     q = _series_numerator(inst.genus, inst.degree, k)
     series = HilbertSeries(QPolynomial(q), inst.krull_dim)
     if sum(q) != variety_degree(inst):
@@ -376,7 +407,7 @@ def hilbert_series(inst: SecantInstance) -> HilbertSeries:
         raise InternalMismatch(
             f"series expansion at twist {k + 2} gives {expanded}, chi gives {value}"
         )
-    return series
+    return built.setdefault(k, series)
 
 
 def generator_count(inst: SecantInstance) -> int:

@@ -124,9 +124,9 @@ _MAX_VERTEX_COUNT = 10**6
 def cone_over_secant(inst: SecantInstance, vertex_count: int) -> ConeOverSecant:
     """Cone over the secant variety with an (m-1)-plane vertex, m >= 0; the
     case m = 0 is the variety itself."""
+    _at_most("vertex_count", vertex_count, _MAX_VERTEX_COUNT)
     if vertex_count < 0:
         raise DomainError(f"vertex_count {vertex_count} must be nonnegative")
-    _at_most("vertex_count", vertex_count, _MAX_VERTEX_COUNT)
     base = hilbert_series(inst)
     return ConeOverSecant(
         inst,

@@ -9,8 +9,9 @@ from math import comb
 
 import pytest
 
-from secantinv import QPolynomial, SecantInstance, hilbert_polynomial, hilbert_series
-from secantinv.cli import _HANDLERS, FORMATS, Document, build_parser, run
+from secantinv import (DomainError, QPolynomial, SecantInstance, UsageError, hilbert_polynomial,
+                       hilbert_series)
+from secantinv.cli import _HANDLERS, FORMATS, Document, _HelpRequested, _parse, build_parser, run
 from secantinv.validation import CheckResult
 
 
@@ -363,6 +364,15 @@ class TestAdmissionLimits:
         assert (code, out) == (2, "")
         assert err == f"error: domain: vertex_count {nines} exceeds the maximum 1000000\n"
 
+    def test_sweep_twist_past_the_int_to_str_limit(self):
+        # argparse refuses such an int, so the handler gets it directly
+        args = build_parser().parse_args(["sweep", "--genus-range", "0", "--degree-range", "20",
+                                          "--order-range", "8", "--invariant", "hilbert"])
+        for twist in (10**4300, -10**4300):
+            args.twist = twist
+            with pytest.raises(DomainError, match="^twist has more than 4000 digits$"):
+                _HANDLERS["sweep"](args)
+
     def test_largest_admitted_vertex_count(self):
         code, out, err = invoke(["cone", "--genus", "0", "--degree", "4", "--order", "1",
                                  "--vertex-count", "1000000", "--format", "json"])
@@ -479,6 +489,79 @@ class TestSharedParser:
         cli._build_parser.cache_clear()
         assert reused == invoke(wedge)
         assert reused[0] == 2 and reused[2].startswith("error: ambiguous-bundle:")
+
+
+# one valid command line per command, as (option, value) pairs
+_DISPATCH_BASES = {
+    "hilbert": "--genus 2 --degree 9 --order 1",
+    "series": "--genus 2 --degree 9 --order 1",
+    "degree": "--genus 2 --degree 9 --order 1",
+    "generators": "--genus 2 --degree 9 --order 1",
+    "coh-sym": "--genus 2 --degree 9 --order 1 --twist 2",
+    "coh-wedge": "--genus 1 --points 2 --twist 1 --degree-of-L 5 --degree-of-M 4 --h1-of-LM 0",
+    "coh-canonical": "--genus 2 --degree 9 --order 1 --twist 2",
+    "coh-line": "--family N --points 3 --genus 2 --degree 5 --h1-of-L 0",
+    "tangent-cone": "--genus 0 --degree 6 --order 2 --stratum 0",
+    "cone": "--genus 0 --degree 4 --order 1 --vertex-count 2",
+    "sweep": "--genus-range 0:1 --degree-range 4:5 --order-range 0:1 --invariant hilbert --twist 2",
+    "validate": "--format csv",
+}
+
+
+def _edge_lines(command):
+    """Edge command lines for ``command``: help, abbreviations, ``--``, extra
+    words, a bad or missing value, and each option dropped, left without its
+    value, given a bad value, joined to its value by ``=``, or abbreviated."""
+    words = _DISPATCH_BASES[command].split()
+    lines = [
+        [], words, ["-h"], words + ["--help"], ["--he"], words + ["--he"], ["--gen", "2"] + words,
+        ["--"], words + ["--"], ["--"] + words, words + ["--", "extra"], words + ["extra"],
+        words + ["--format", "xml"], words + ["--format"], words + ["--format=json"],
+        words + ["--form", "latex"], words + ["--format", "--out"], words + ["--frobnicate"],
+    ]
+    for i in range(0, len(words), 2):
+        option, value, rest = words[i], words[i + 1], words[:i] + words[i + 2:]
+        lines += [rest, rest + [option], rest + [option, "x"], rest + [option, "-1"],
+                  rest + [f"{option}={value}"], rest + [f"{option}="], rest + [option[:5], value]]
+    return [[command, *line] for line in lines]
+
+
+def _parse_outcome(parse, argv):
+    """What a parse function gives for ``argv``: its namespace, usage
+    message or help text."""
+    try:
+        return "namespace", vars(parse(list(argv)))
+    except UsageError as exc:
+        return "usage", str(exc)
+    except _HelpRequested as request:
+        return "help", request.args[0]
+
+
+class TestDirectDispatch:
+    """A command line that starts with a command name is parsed by that
+    command's parser alone; it must give what the top-level parser gives."""
+
+    def test_every_command_has_a_base(self):
+        assert set(_DISPATCH_BASES) == set(_HANDLERS) == set(build_parser().commands)
+
+    @pytest.mark.parametrize("command", sorted(_DISPATCH_BASES))
+    def test_same_outcome_as_the_top_level_parser(self, command):
+        kinds = set()
+        for argv in _edge_lines(command):
+            outcome = _parse_outcome(_parse, argv)
+            assert outcome == _parse_outcome(build_parser().parse_args, argv), argv
+            kinds.add(outcome[0])
+        assert kinds == {"namespace", "usage", "help"}
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["--he"], ["frobnicate"], ["degre"], ["Degree"], ["--"],
+        ["--", "degree", "--genus", "2", "--degree", "9", "--order", "1"],
+        ["--format", "json", "degree"], ["-h", "degree"], ["--genus", "2", "degree"],
+    ])
+    def test_lines_naming_no_command_go_to_the_top_level_parser(self, argv):
+        outcome = _parse_outcome(_parse, argv)
+        assert outcome == _parse_outcome(build_parser().parse_args, argv)
+        assert outcome[0] in ("usage", "help")
 
 
 class TestErrorTaxonomy:

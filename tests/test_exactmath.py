@@ -161,6 +161,21 @@ class TestRationalFormat:
         for text in ["0", "-3/2", "22/7", "5"]:
             assert format_rational(parse_rational(text)) == text
 
+    def test_matches_the_fraction_spelling(self):
+        def reference(value):  # the definition that built a Fraction for every value
+            q = Fraction(value)
+            if q.denominator == 1:
+                return str(q.numerator)
+            return f"{q.numerator}/{q.denominator}"
+
+        long = 10**3999 + 7  # 4,000 digits
+        values = [0, 1, -1, 26, -7, True, False, long, -long,
+                  Fraction(0), Fraction(4, 2), Fraction(-3, 2), Fraction(6, -4),
+                  Fraction(long, 3), Fraction(-1, long), Fraction(long, long - 1)]
+        for value in values:
+            assert format_rational(value) == reference(value), value
+        assert (format_rational(True), format_rational(False)) == ("1", "0")
+
     def test_lowest_terms_after_arithmetic(self):
         import math
 

@@ -10,18 +10,28 @@ from secantinv import (
     GeneratorDegreeUnknown,
     HilbertSeries,
     InternalMismatch,
+    LineBundleClass,
     QPolynomial,
     SecantInstance,
     binomial,
     binomial_poly,
     canonical_h0,
+    canonical_twist_table,
+    coh_canonical_twist,
+    coh_descent_line,
+    coh_determinant_line,
+    coh_wedge_secant_sheaf,
+    cone_over_secant,
     finite_difference_numerator,
     generator_count,
     hilbert_function,
     hilbert_polynomial,
     hilbert_series,
+    line_bundle_table,
     node_values,
+    sym_secant_table,
     variety_degree,
+    wedge_secant_table,
 )
 
 from oracles import (
@@ -31,6 +41,16 @@ from oracles import (
     order1_chi,
     order1_degree,
 )
+
+
+@pytest.fixture
+def cold_engine():
+    """Empty the chi and node-table caches, and with the node tables every
+    series kept in them, so that the test watches a build."""
+    import secantinv.secant_core as core
+
+    core._chi.cache_clear()
+    core._node_table.cache_clear()
 
 
 def full_depth_node_table(genus, degree, order):
@@ -99,6 +119,63 @@ class TestSecantInstance:
     def test_json_round_trip(self):
         inst = SecantInstance(1, 7, 2)
         assert SecantInstance.from_json_dict(inst.to_json_dict()) == inst
+
+
+# more digits than Python prints, and the most it prints
+UNPRINTABLE = 10**4300
+LONGEST = 10**4300 - 1
+NONSPECIAL = LineBundleClass.nonspecial(2, 9)
+
+
+class TestUnprintableValues:
+    """A value that an admission check would print, but that has more digits
+    than Python prints, is refused by name.  Each case is one caller of the
+    check, with the value past its limit or below its sign check."""
+
+    @pytest.mark.parametrize("label, call", [
+        ("genus", lambda v: SecantInstance(v, 1, 0)),
+        ("order", lambda v: SecantInstance(0, 3, v)),
+        ("degree", lambda v: SecantInstance(0, v, 0)),
+        ("twist", lambda v: hilbert_function(SecantInstance(0, 3, 1), v)),
+        ("twist", lambda v: coh_canonical_twist(SecantInstance(1, 9, 1), v, 0)),
+        ("genus", lambda v: LineBundleClass(v, 0, 1, 0)),
+        ("genus", lambda v: LineBundleClass.from_degree(v, 5)),
+        ("points", lambda v: coh_determinant_line(v, NONSPECIAL, 0)),
+        ("points", lambda v: coh_descent_line(v, NONSPECIAL, 0)),
+        ("points", lambda v: coh_wedge_secant_sheaf(v, 1, NONSPECIAL, NONSPECIAL, 0)),
+        ("vertex_count", lambda v: cone_over_secant(SecantInstance(0, 4, 1), v)),
+    ], ids=["instance-genus", "instance-order", "instance-degree", "hilbert-function",
+            "canonical-twist", "bundle-genus", "from-degree-genus", "determinant-points",
+            "descent-points", "wedge-points", "cone-vertex-count"])
+    @pytest.mark.parametrize("sign", (1, -1), ids=("past-limit", "below-sign-check"))
+    def test_refused_by_name(self, label, call, sign):
+        with pytest.raises(DomainError) as caught:
+            call(sign * UNPRINTABLE)
+        assert str(caught.value) == f"{label} has more than 4000 digits"
+
+    @pytest.mark.parametrize("call", [
+        lambda: sym_secant_table(SecantInstance(0, 3, 1), UNPRINTABLE),
+        lambda: canonical_twist_table(SecantInstance(1, 9, 1), UNPRINTABLE),
+        lambda: line_bundle_table("N", UNPRINTABLE, NONSPECIAL),
+        lambda: wedge_secant_table(UNPRINTABLE, 1, NONSPECIAL, NONSPECIAL),
+    ], ids=["SymE", "CanonicalSymE", "N", "WedgeE"])
+    def test_tables_refuse_as_their_entries(self, call):
+        with pytest.raises(DomainError, match="^(twist|points) has more than 4000 digits$"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SecantInstance(LONGEST, 1, 0), f"genus {LONGEST} exceeds the maximum 1000000"),
+        (lambda: SecantInstance(-LONGEST, 1, 0), f"genus {-LONGEST} must be nonnegative"),
+        (lambda: SecantInstance(0, 3, LONGEST), f"order {LONGEST} exceeds the maximum order 200"),
+        (lambda: hilbert_function(SecantInstance(0, 3, 1), -LONGEST),
+         f"hilbert_function needs twist >= 0, got {-LONGEST}"),
+        (lambda: cone_over_secant(SecantInstance(0, 4, 1), LONGEST),
+         f"vertex_count {LONGEST} exceeds the maximum 1000000"),
+    ], ids=["genus", "negative-genus", "order", "negative-twist", "vertex-count"])
+    def test_printable_value_keeps_its_message(self, call, message):
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 class TestNodeValues:
@@ -462,6 +539,7 @@ class TestSeriesFromNodeValues:
         for inst in grid:
             assert hilbert_series(inst).numerator == horner_route_numerator(inst), inst
 
+    @pytest.mark.usefixtures("cold_engine")
     def test_expansion_check_is_live(self, monkeypatch):
         import secantinv.secant_core as core
 
@@ -488,6 +566,7 @@ class TestSeriesFromNodeValues:
             one_sum = sum(c * comb(k + 1 - j + K, K - 1) for j, c in enumerate(q))
             assert one_sum == series.expand(k + 3)[k + 2] == hilbert_function(inst, k + 2), inst
 
+    @pytest.mark.usefixtures("cold_engine")
     @pytest.mark.parametrize("g, d, k, digest", [
         (5, 35, 10, "ab392c2f6b32291994430dafe702adad84b0000be64eefc5f56b59046bad7b1d"),
         (5, 95, 40, "8ba74b0320b022d5431091b6bd6d0df7cc6935615dc160f3645093a29aaeec58"),
@@ -501,6 +580,7 @@ class TestSeriesFromNodeValues:
         wire = ",".join(hilbert_series(SecantInstance(g, d, k)).numerator.to_strings())
         assert hashlib.sha256(wire.encode()).hexdigest() == digest
 
+    @pytest.mark.usefixtures("cold_engine")
     def test_chi_is_evaluated_once(self, monkeypatch):
         import secantinv.secant_core as core
 
@@ -516,6 +596,106 @@ class TestSeriesFromNodeValues:
         monkeypatch.setattr(core, "hilbert_function", counted)
         hilbert_series(inst)
         assert twists == [14]
+
+
+@pytest.mark.usefixtures("cold_engine")
+class TestSeriesMemo:
+    """Each (g, d, k) series is built once and kept in its (g, d) node table."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The (g, d, k) of every numerator built from here on."""
+        import secantinv.secant_core as core
+
+        calls = []
+        real = core._series_numerator
+
+        def counted(genus, degree, order):
+            calls.append((genus, degree, order))
+            return real(genus, degree, order)
+
+        monkeypatch.setattr(core, "_series_numerator", counted)
+        return calls
+
+    def test_second_call_returns_the_built_series(self, builds):
+        inst = SecantInstance(3, 40, 12)
+        first = hilbert_series(inst)
+        assert hilbert_series(inst) is first
+        assert builds == [(3, 40, 12)]
+        # another order of the same (g, d) is a series of its own
+        assert hilbert_series(SecantInstance(3, 40, 11)) is not first
+        assert builds == [(3, 40, 12), (3, 40, 11)]
+
+    def test_cleared_caches_rebuild(self, builds):
+        import secantinv.secant_core as core
+
+        inst = SecantInstance(3, 40, 12)
+        first = hilbert_series(inst)
+        core._chi.cache_clear()
+        core._node_table.cache_clear()
+        again = hilbert_series(inst)
+        assert again is not first and again == first
+        assert builds == [(3, 40, 12)] * 2
+
+    @pytest.mark.parametrize("shifts, message", [
+        ({0: 1}, "^series numerator has constant term 2, expected 1$"),
+        ({-1: 1}, "^series numerator at 1 gives "),
+        ({1: -1, 2: 1}, "^series expansion at twist 3 gives "),
+    ], ids=["constant-term", "degree", "expansion"])
+    def test_failed_check_keeps_nothing(self, monkeypatch, shifts, message):
+        import secantinv.secant_core as core
+
+        inst = SecantInstance(2, 9, 1)
+        real = core._series_numerator
+
+        def corrupted(genus, degree, order):
+            q = real(genus, degree, order)
+            for power, shift in shifts.items():
+                q[power] += shift
+            return q
+
+        monkeypatch.setattr(core, "_series_numerator", corrupted)
+        for _ in range(2):  # the second call builds again, and fails again
+            with pytest.raises(InternalMismatch, match=message):
+                hilbert_series(inst)
+        assert core._node_table(2, 9).series == {}
+        monkeypatch.undo()
+        assert hilbert_series(inst).numerator == horner_route_numerator(inst)
+
+    def test_concurrent_requests_share_one_series(self):
+        # more threads than cores ask for the same series from empty caches;
+        # two of them may build it, into the same table or (since lru_cache
+        # can call _node_table twice) into two, but each gets the right series
+        import sys
+        import threading
+
+        import secantinv.secant_core as core
+
+        inst = SecantInstance(3, 60, 14)
+        expected = HilbertSeries(horner_route_numerator(inst), inst.krull_dim)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                core._node_table.cache_clear()
+                results = [None] * 8
+                barrier = threading.Barrier(len(results))
+
+                def read(slot):
+                    barrier.wait()
+                    results[slot] = hilbert_series(inst)
+
+                threads = [threading.Thread(target=read, args=(slot,))
+                           for slot in range(len(results))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == [expected] * len(results)
+                assert hilbert_series(inst) is core._node_table(3, 60).series[14]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestGeneratorCount:
