@@ -24,8 +24,8 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import binomial
-from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _at_most, hilbert_function,
-                          hilbert_polynomial)
+from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _at_most, _printable,
+                          hilbert_function, hilbert_polynomial)
 
 __all__ = [
     "LineBundleClass",
@@ -92,6 +92,8 @@ class LineBundleClass:
     def nonspecial(cls, genus: int, degree: int) -> "LineBundleClass":
         """The class of any bundle with degree > 2g-2 (h1 = 0 is forced)."""
         if degree <= 2 * genus - 2:
+            _printable("degree", degree)
+            _printable("genus", genus)
             raise DomainError(
                 f"degree {degree} is not forced nonspecial for genus {genus}"
             )
@@ -189,6 +191,7 @@ def coh_sym_secant_sheaf(inst: SecantInstance, twist: int, i: int) -> int:
     sheaf of the symmetric product).
     """
     if twist < 0:
+        _printable("twist", twist)
         raise DomainError(f"coh_sym_secant_sheaf needs twist >= 0, got {twist}")
     g, d, k = inst.genus, inst.degree, inst.order
     if twist == 0:
@@ -251,6 +254,7 @@ def _wedge_product(points: int, twist: int, bundle: LineBundleClass, twisting: L
     product = _product_class(bundle, twisting, product)
     _check_sections(L=bundle, M=twisting, LM=product)
     if not 1 <= twist <= points:
+        _printable("twist", twist)
         raise DomainError(f"twist {twist} must lie in 1..{points}")
     return product
 
@@ -285,6 +289,7 @@ def coh_wedge_secant_sheaf(
     """
     prod = _wedge_product(points, twist, bundle, twisting, product)
     if not 0 <= i <= points:
+        _printable("cohomological index", i)
         raise DomainError(f"cohomological index {i} must lie in 0..{points}")
     left, right = _wedge_factors(points, twist, twisting, prod, i)
     return sum(a * right[i - p] for p, a in enumerate(left) if i - p < len(right))
@@ -368,6 +373,7 @@ def line_bundle_table(
     """Table of h^i, i = 0..points, for the "N" (determinant) or "T"
     (descent) line-bundle family on the points-th symmetric product."""
     if points < 1:  # below 0 the map is empty, and no entry refuses it
+        _printable("points", points)
         raise DomainError(f"points {points} must be positive")
     op = {"N": coh_determinant_line, "T": coh_descent_line}.get(family)
     if op is None:

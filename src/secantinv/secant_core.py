@@ -230,6 +230,8 @@ def _node_table(genus: int, degree: int) -> _NodeTable:
 
 # Growth of a node table is check-then-append on a list every thread of the
 # process shares, so it runs under one lock; reading a built row needs none.
+# The table is looked up under the same lock, because lru_cache calls
+# _node_table once per thread that misses, and keeps only one of the tables.
 _GROWTH = threading.Lock()
 
 
@@ -243,9 +245,9 @@ def _node_values(genus: int, degree: int, order: int) -> tuple[int, ...]:
     only by appending exact values, so an interrupted growth leaves a table
     that is still consistent."""
     g, d, k = genus, degree, order
-    rows = _node_table(g, d).rows
-    if k >= len(rows):
-        with _GROWTH:
+    with _GROWTH:
+        rows = _node_table(g, d).rows
+        if k >= len(rows):
             for j, row in enumerate(rows):
                 _deepen(row, j, 2 * j + 2 + min(g, k - j))
             weights = [(-1) ** i * binomial(g, i) for i in range(1, min(g, k) + 1)]
@@ -391,7 +393,8 @@ def hilbert_series(inst: SecantInstance) -> HilbertSeries:
     be chi(k+2); otherwise :class:`InternalMismatch` is raised.  A series that
     passes is kept in the (g, d) node table, and every later call returns it."""
     k = inst.order
-    built = _node_table(inst.genus, inst.degree).series
+    with _GROWTH:
+        built = _node_table(inst.genus, inst.degree).series
     if k in built:
         return built[k]
     q = _series_numerator(inst.genus, inst.degree, k)

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import DomainError, StratumOutOfRange
 from .exactmath import QPolynomial
-from .secant_core import HilbertSeries, SecantInstance, _at_most, hilbert_series
+from .secant_core import HilbertSeries, SecantInstance, _at_most, _printable, hilbert_series
 
 __all__ = [
     "SMOOTH_POINT",
@@ -96,6 +96,7 @@ def tangent_cone_at(inst: SecantInstance, stratum: int) -> TangentConeDescriptor
     stratum; raises :class:`StratumOutOfRange` unless 0 <= stratum <= k."""
     k = inst.order
     if stratum < 0 or stratum > k:
+        _printable("stratum", stratum)
         raise StratumOutOfRange(f"stratum {stratum} outside 0..{k}")
     if stratum == k:
         # Smooth point: the tangent cone is the full projectivized tangent space.

@@ -387,6 +387,25 @@ class TestAdmissionLimits:
         code, out, err = invoke(["degree", "--genus", "0", "--degree", "1000", "--order", "200"])
         assert (code, out, err) == (0, f"{comb(800, 201)}\n", "")
 
+    # admitted requests near a limit, each in one fresh process as a user
+    # runs it.  The sparse wedge table is one convolution of its two factor
+    # lists, and its whole process takes about 0.15 s; filled entry by entry
+    # with coh_wedge_secant_sheaf, the table alone took 1.3 s (2-core x86-64).
+    # The documents at order 200 are pinned in _PINNED_JSON below.
+    @pytest.mark.parametrize("argv, lines, seconds", [
+        pytest.param("coh-wedge --genus 2 --points 1000 --twist 500 --degree-of-L 999998"
+                     " --degree-of-M 3 --format csv", 1002, 1, id="sparse-wedge"),
+        pytest.param("series --genus 5 --degree 1000 --order 200 --format json", 408, 10,
+                     id="series-top-order"),
+        pytest.param("tangent-cone --genus 5 --degree 1000 --order 200 --stratum 0"
+                     " --format json", 423, 10, id="tangent-cone-top-order"),
+    ])
+    def test_admitted_corner_in_a_fresh_process(self, argv, lines, seconds):
+        result = subprocess.run([sys.executable, "-m", "secantinv.cli", *argv.split()],
+                                capture_output=True, text=True, timeout=seconds)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert len(result.stdout.splitlines()) == lines
+
     @pytest.mark.parametrize("argv", [
         ["coh-sym", "--genus", "0", "--degree", "20", "--order", "8"],
         ["coh-canonical", "--genus", "1", "--degree", "22", "--order", "8"],
@@ -470,11 +489,11 @@ class TestOutputPlumbing:
 
 
 class TestSharedParser:
-    @pytest.mark.parametrize("argv", [["--help"], ["hilbert", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["hilbert", "--help"], ["degree", "--help"]])
     def test_help_goes_to_run_stdout(self, capsys, argv):
         code, out, err = invoke(argv)
         assert code == 0
-        assert out.startswith("usage: secantinv")
+        assert out.startswith(" ".join(["usage: secantinv", *argv[:-1]]))
         assert err == ""
         assert capsys.readouterr() == ("", "")
 
@@ -833,6 +852,10 @@ _PINNED = [
         "genus,degree,order,value\n0,4,0,4\n0,4,1,3\n0,5,0,5\n0,5,1,6\n1,4,0,4\n1,5,0,5\n"
         "1,5,1,5\n", "skip: genus 1 degree 4 order 1: degree 4 violates d >= 2g+2k+1 = 5\n",
         id="sweep-csv"),
+    pytest.param(
+        "degree --genus 2 --degree 9 --order 1 extra", 2,
+        "", "error: usage: unrecognized arguments: extra\n",
+        id="trailing-word"),
 ]
 
 
@@ -887,6 +910,14 @@ _PINNED_JSON = [
     pytest.param("validate --format json", 1,
                  "8ad9cc1baaa797f419e5fe37d19de8e1021bbd387de48c258162db3458b14b29",
                  id="validate-json"),
+    # the series at the top admitted order, and the tangent cone at its
+    # stratum 0, whose base has order 199
+    pytest.param("series --genus 5 --degree 1000 --order 200 --format json", 0,
+                 "4eb918b342ddae5eaef48cb35f78f1ee124d1cb27152d3d49c8eea14b1ba6cdd",
+                 id="series-top-order-json"),
+    pytest.param("tangent-cone --genus 5 --degree 1000 --order 200 --stratum 0 --format json", 0,
+                 "f03a62835b7ced9c0f1e9aa86a80f696be94ae5b28cf72702c02d8badd0be3a3",
+                 id="tangent-cone-top-order-s0-json"),
 ]
 
 

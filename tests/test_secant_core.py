@@ -20,6 +20,7 @@ from secantinv import (
     coh_canonical_twist,
     coh_descent_line,
     coh_determinant_line,
+    coh_sym_secant_sheaf,
     coh_wedge_secant_sheaf,
     cone_over_secant,
     finite_difference_numerator,
@@ -28,8 +29,10 @@ from secantinv import (
     hilbert_polynomial,
     hilbert_series,
     line_bundle_table,
+    multiplicity_along_stratum,
     node_values,
     sym_secant_table,
+    tangent_cone_at,
     variety_degree,
     wedge_secant_table,
 )
@@ -144,9 +147,21 @@ class TestUnprintableValues:
         ("points", lambda v: coh_descent_line(v, NONSPECIAL, 0)),
         ("points", lambda v: coh_wedge_secant_sheaf(v, 1, NONSPECIAL, NONSPECIAL, 0)),
         ("vertex_count", lambda v: cone_over_secant(SecantInstance(0, 4, 1), v)),
+        ("twist", lambda v: coh_sym_secant_sheaf(SecantInstance(0, 3, 1), v, 0)),
+        ("points", lambda v: line_bundle_table("N", v, NONSPECIAL)),
+        ("twist", lambda v: wedge_secant_table(3, v, NONSPECIAL, NONSPECIAL)),
+        ("twist", lambda v: coh_wedge_secant_sheaf(3, v, NONSPECIAL, NONSPECIAL, 0)),
+        ("cohomological index",
+         lambda v: coh_wedge_secant_sheaf(3, 1, NONSPECIAL, NONSPECIAL, v)),
+        ("degree", lambda v: LineBundleClass.nonspecial(2, v)),
+        ("genus", lambda v: LineBundleClass.nonspecial(v, 1)),
+        ("stratum", lambda v: tangent_cone_at(SecantInstance(0, 3, 1), v)),
+        ("stratum", lambda v: multiplicity_along_stratum(SecantInstance(0, 3, 1), v)),
     ], ids=["instance-genus", "instance-order", "instance-degree", "hilbert-function",
             "canonical-twist", "bundle-genus", "from-degree-genus", "determinant-points",
-            "descent-points", "wedge-points", "cone-vertex-count"])
+            "descent-points", "wedge-points", "cone-vertex-count", "sym-twist", "line-points",
+            "wedge-table-twist", "wedge-twist", "wedge-index", "nonspecial-degree",
+            "nonspecial-genus", "tangent-stratum", "multiplicity-stratum"])
     @pytest.mark.parametrize("sign", (1, -1), ids=("past-limit", "below-sign-check"))
     def test_refused_by_name(self, label, call, sign):
         with pytest.raises(DomainError) as caught:
@@ -171,7 +186,19 @@ class TestUnprintableValues:
          f"hilbert_function needs twist >= 0, got {-LONGEST}"),
         (lambda: cone_over_secant(SecantInstance(0, 4, 1), LONGEST),
          f"vertex_count {LONGEST} exceeds the maximum 1000000"),
-    ], ids=["genus", "negative-genus", "order", "negative-twist", "vertex-count"])
+        (lambda: coh_sym_secant_sheaf(SecantInstance(0, 3, 1), -LONGEST, 0),
+         f"coh_sym_secant_sheaf needs twist >= 0, got {-LONGEST}"),
+        (lambda: line_bundle_table("N", -LONGEST, NONSPECIAL),
+         f"points {-LONGEST} must be positive"),
+        (lambda: coh_wedge_secant_sheaf(3, LONGEST, NONSPECIAL, NONSPECIAL, 0),
+         f"twist {LONGEST} must lie in 1..3"),
+        (lambda: coh_wedge_secant_sheaf(3, 1, NONSPECIAL, NONSPECIAL, -LONGEST),
+         f"cohomological index {-LONGEST} must lie in 0..3"),
+        (lambda: LineBundleClass.nonspecial(LONGEST, 1),
+         f"degree 1 is not forced nonspecial for genus {LONGEST}"),
+    ], ids=["genus", "negative-genus", "order", "negative-twist", "vertex-count",
+            "negative-sym-twist", "negative-points", "wedge-twist", "wedge-index",
+            "nonspecial-genus"])
     def test_printable_value_keeps_its_message(self, call, message):
         with pytest.raises(DomainError) as caught:
             call()
@@ -664,8 +691,8 @@ class TestSeriesMemo:
 
     def test_concurrent_requests_share_one_series(self):
         # more threads than cores ask for the same series from empty caches;
-        # two of them may build it, into the same table or (since lru_cache
-        # can call _node_table twice) into two, but each gets the right series
+        # two of them may build it, but both into the one (g, d) table, so
+        # every thread gets the one series that table keeps
         import sys
         import threading
 
@@ -692,8 +719,9 @@ class TestSeriesMemo:
                 for thread in threads:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
-                assert results == [expected] * len(results)
-                assert hilbert_series(inst) is core._node_table(3, 60).series[14]
+                kept = core._node_table(3, 60).series[14]
+                assert kept == expected
+                assert all(result is kept for result in results)
         finally:
             sys.setswitchinterval(interval)
 
