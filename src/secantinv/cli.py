@@ -40,10 +40,11 @@ from .cohomology import (
 from .errors import DomainError, SecantInvError, UsageError
 from .exactmath import QPolynomial
 from .secant_core import (
+    _MAX_ORDER,
     _MAX_TWIST,
     SecantInstance,
     _at_most,
-    _check_order,
+    _refuse,
     canonical_h0,
     generator_count,
     hilbert_function,
@@ -371,13 +372,14 @@ def _handle_sweep(args) -> Document:
     grid = (args.genus_range, args.degree_range, args.order_range)
     requested = math.prod(r.stop - r.start for r in grid)  # len() overflows past 2**63
     if requested > _MAX_SWEEP_CELLS:
-        raise DomainError(f"sweep grid has {requested} cells, more than the maximum {_MAX_SWEEP_CELLS}")
+        _refuse("sweep grid has {} cells, more than the maximum {maximum}",
+                ("sweep grid cell count", requested), maximum=_MAX_SWEEP_CELLS)
     # a cell past a limit is skipped, so the limits every cell shares are checked first
-    _check_order(args.order_range[-1])
+    _at_most("order", args.order_range[-1], _MAX_ORDER, "maximum order")
     if args.invariant == "hilbert":
         _at_most("twist", args.twist, _MAX_TWIST)
         if args.twist < 0:
-            raise DomainError(f"twist {args.twist} must be nonnegative for --invariant hilbert")
+            _refuse("twist {} must be nonnegative for --invariant hilbert", ("twist", args.twist))
     cells = []
     notes = []
     for g in args.genus_range:

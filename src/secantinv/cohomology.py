@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import binomial
-from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _at_most, _printable,
+from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _at_most, _refuse,
                           hilbert_function, hilbert_polynomial)
 
 __all__ = [
@@ -76,13 +76,14 @@ class LineBundleClass:
                 raise DomainError(f"{label} has more than 4000 digits")
         if d > 2 * g - 2:
             if self.h1 != 0:
-                raise DomainError(f"degree {d} > 2g-2 forces h1 = 0, got {self.h1}")
+                _refuse("degree {} > 2g-2 forces h1 = 0, got {}", ("degree", d), ("h1", self.h1))
         elif d < 0 and self.h1 != g - 1 - d:
-            raise DomainError(f"degree {d} < 0 forces h1 = {g - 1 - d}, got {self.h1}")
+            _refuse("degree {} < 0 forces h1 = {forced}, got {}", ("degree", d), ("h1", self.h1),
+                    forced=g - 1 - d)
         if g < 0:
-            raise DomainError(f"genus {g} must be nonnegative")
+            _refuse("genus {} must be nonnegative", ("genus", g))
         if self.h0 < 0 or self.h1 < 0:
-            raise DomainError(f"h0 = {self.h0}, h1 = {self.h1} must be nonnegative")
+            _refuse("h0 = {}, h1 = {} must be nonnegative", ("h0", self.h0), ("h1", self.h1))
         if self.h0 - self.h1 != d - g + 1:
             raise DomainError(
                 f"h0 - h1 = {self.h0 - self.h1} violates Riemann-Roch value {d - g + 1}"
@@ -92,11 +93,8 @@ class LineBundleClass:
     def nonspecial(cls, genus: int, degree: int) -> "LineBundleClass":
         """The class of any bundle with degree > 2g-2 (h1 = 0 is forced)."""
         if degree <= 2 * genus - 2:
-            _printable("degree", degree)
-            _printable("genus", genus)
-            raise DomainError(
-                f"degree {degree} is not forced nonspecial for genus {genus}"
-            )
+            _refuse("degree {} is not forced nonspecial for genus {}", ("degree", degree),
+                    ("genus", genus))
         return cls(genus, degree, degree - genus + 1, 0)
 
     @classmethod
@@ -116,10 +114,9 @@ class LineBundleClass:
         _at_most("genus", genus, _MAX_GENUS)
         if h1 is None:
             if 0 <= degree <= 2 * genus - 2:
-                raise AmbiguousBundle(
-                    f"degree {degree} lies in the special range 0..{2 * genus - 2} "
-                    f"for genus {genus}; supply h1 explicitly"
-                )
+                _refuse("degree {} lies in the special range 0..{top} for genus {}; "
+                        "supply h1 explicitly", ("degree", degree), ("genus", genus),
+                        error=AmbiguousBundle, top=2 * genus - 2)
             h1 = 0 if degree > 2 * genus - 2 else genus - 1 - degree
         return cls(genus, degree, degree - genus + 1 + h1, h1)
 
@@ -147,7 +144,7 @@ _MAX_POINTS = 1000
 def _check_points(points: int) -> None:
     _at_most("points", points, _MAX_POINTS)
     if points < 1:
-        raise DomainError(f"points {points} must be positive")
+        _refuse("points {} must be positive", ("points", points))
 
 
 # Admission limit: the largest h0 or h1 of a bundle given to the line-bundle
@@ -191,8 +188,7 @@ def coh_sym_secant_sheaf(inst: SecantInstance, twist: int, i: int) -> int:
     sheaf of the symmetric product).
     """
     if twist < 0:
-        _printable("twist", twist)
-        raise DomainError(f"coh_sym_secant_sheaf needs twist >= 0, got {twist}")
+        _refuse("coh_sym_secant_sheaf needs twist >= 0, got {}", ("twist", twist))
     g, d, k = inst.genus, inst.degree, inst.order
     if twist == 0:
         return binomial(g, i) if 0 <= i <= k + 1 else 0
@@ -254,8 +250,7 @@ def _wedge_product(points: int, twist: int, bundle: LineBundleClass, twisting: L
     product = _product_class(bundle, twisting, product)
     _check_sections(L=bundle, M=twisting, LM=product)
     if not 1 <= twist <= points:
-        _printable("twist", twist)
-        raise DomainError(f"twist {twist} must lie in 1..{points}")
+        _refuse("twist {} must lie in 1..{points}", ("twist", twist), points=points)
     return product
 
 
@@ -289,8 +284,8 @@ def coh_wedge_secant_sheaf(
     """
     prod = _wedge_product(points, twist, bundle, twisting, product)
     if not 0 <= i <= points:
-        _printable("cohomological index", i)
-        raise DomainError(f"cohomological index {i} must lie in 0..{points}")
+        _refuse("cohomological index {} must lie in 0..{points}", ("cohomological index", i),
+                points=points)
     left, right = _wedge_factors(points, twist, twisting, prod, i)
     return sum(a * right[i - p] for p, a in enumerate(left) if i - p < len(right))
 
@@ -301,7 +296,7 @@ def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     i <= k, and 0 otherwise.  Twists above 10**6 are refused."""
     _at_most("twist", twist, _MAX_TWIST)
     if twist <= 0:
-        raise DomainError(f"coh_canonical_twist needs twist > 0, got {twist}")
+        _refuse("coh_canonical_twist needs twist > 0, got {}", ("twist", twist))
     g, d, k = inst.genus, inst.degree, inst.order
     if not 0 <= i <= min(1, k):
         return 0
@@ -373,8 +368,7 @@ def line_bundle_table(
     """Table of h^i, i = 0..points, for the "N" (determinant) or "T"
     (descent) line-bundle family on the points-th symmetric product."""
     if points < 1:  # below 0 the map is empty, and no entry refuses it
-        _printable("points", points)
-        raise DomainError(f"points {points} must be positive")
+        _refuse("points {} must be positive", ("points", points))
     op = {"N": coh_determinant_line, "T": coh_descent_line}.get(family)
     if op is None:
         raise DomainError(f"unknown line-bundle family {family!r}, expected N or T")

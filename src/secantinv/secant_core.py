@@ -29,8 +29,10 @@ passes both checks is kept beside the rows of its (g, d) node table and
 returned to every later request of its order, so emptying the node-table
 cache (``_node_table.cache_clear()``) empties it too; a build that fails a
 check keeps nothing.  Orders above 200, genera above 10**6, degrees above
-10**9 and twists above 10**6 are refused, and so is any of these values with
-more than 4,300 digits, which Python does not print.
+10**9 and twists above 10**6 are refused.  Every refusal of the engine, the
+cohomology tables, the tangent cones and ``sweep`` that prints an integer it
+was passed formats it through ``_refuse``, which refuses an integer with more
+than 4,300 digits, the most Python prints, by name instead.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
 from .errors import DomainError, GeneratorDegreeUnknown, InternalMismatch
 from .exactmath import QPolynomial, binomial, lagrange_interpolate
@@ -80,24 +82,25 @@ _MAX_TWIST = 10**6
 _MAX_PRINTED = 10**4300
 
 
-def _printable(label: str, value: int) -> None:
-    """Refuse ``value`` when it is too long for a message to print."""
-    if abs(value) >= _MAX_PRINTED:
-        raise DomainError(f"{label} has more than 4000 digits")
+def _refuse(template: str, *values: tuple[str, int], error: type[Exception] = DomainError,
+            **fixed: object) -> NoReturn:
+    """Raise ``error`` with ``template`` filled in: each ``{}`` by the value of
+    one (label, value) pair, in order, and each named field by ``fixed``.  A
+    value too long to print is refused first, by its label, as a
+    :class:`DomainError`.  ``fixed`` holds only values the caller derived or
+    read from an admitted instance or bundle."""
+    for label, value in values:
+        if abs(value) >= _MAX_PRINTED:
+            raise DomainError(f"{label} has more than 4000 digits")
+    raise error(template.format(*(value for _, value in values), **fixed))
 
 
-def _at_most(label: str, value: int, maximum: int) -> None:
-    """Refuse ``value`` above its admission limit ``maximum``, or too long to
-    print; a caller runs it before any check whose message prints ``value``."""
-    _printable(label, value)
-    if value > maximum:
-        raise DomainError(f"{label} {value} exceeds the maximum {maximum}")
-
-
-def _check_order(order: int) -> None:
-    _printable("order", order)
-    if order > _MAX_ORDER:
-        raise DomainError(f"order {order} exceeds the maximum order {_MAX_ORDER}")
+def _at_most(label: str, value: int, maximum: int, bound: str = "maximum") -> None:
+    """Refuse ``value`` above its admission limit ``maximum``, which the
+    message calls ``bound``, or too long to print whatever its sign; a caller
+    runs it before any other check of ``value``."""
+    if value > maximum or abs(value) >= _MAX_PRINTED:
+        _refuse(f"{label} {{}} exceeds the {bound} {maximum}", (label, value))
 
 
 @dataclass(frozen=True)
@@ -111,16 +114,15 @@ class SecantInstance:
     def __post_init__(self) -> None:
         _at_most("genus", self.genus, _MAX_GENUS)
         if self.genus < 0:
-            raise DomainError(f"genus {self.genus} must be nonnegative")
-        _check_order(self.order)
+            _refuse("genus {} must be nonnegative", ("genus", self.genus))
+        _at_most("order", self.order, _MAX_ORDER, "maximum order")
         if self.order < 0:
-            raise DomainError(f"order {self.order} must be nonnegative")
+            _refuse("order {} must be nonnegative", ("order", self.order))
         _at_most("degree", self.degree, _MAX_DEGREE)
         bound = 2 * self.genus + 2 * self.order + 1
         if self.degree < bound:
-            raise DomainError(
-                f"degree {self.degree} violates d >= 2g+2k+1 = {bound}"
-            )
+            _refuse("degree {} violates d >= 2g+2k+1 = {bound}", ("degree", self.degree),
+                    bound=bound)
 
     @property
     def ambient_dim(self) -> int:
@@ -162,7 +164,8 @@ class NodeValues:
 
     def __getitem__(self, twist: int) -> int:
         if twist not in self.twists:
-            raise KeyError(f"twist {twist} outside node range {self.twists}")
+            _refuse("twist {} outside node range {nodes}", ("twist", twist), error=KeyError,
+                    nodes=self.twists)
         return self.entries[twist + self.order]
 
     def items(self) -> Iterator[tuple[int, int]]:
@@ -183,7 +186,7 @@ class HilbertSeries:
 
     def __post_init__(self) -> None:
         if self.krull_dim < 1:
-            raise DomainError(f"krull_dim {self.krull_dim} must be positive")
+            _refuse("krull_dim {} must be positive", ("krull_dim", self.krull_dim))
         if self.numerator.coefficient(0) != 1:
             raise InternalMismatch(
                 f"series numerator has constant term {self.numerator.coefficient(0)}, expected 1"
@@ -347,7 +350,7 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     """
     _at_most("twist", twist, _MAX_TWIST)
     if twist < 0:
-        raise DomainError(f"hilbert_function needs twist >= 0, got {twist}")
+        _refuse("hilbert_function needs twist >= 0, got {}", ("twist", twist))
     if twist == 0:
         return 1
     value = hilbert_polynomial(inst)(twist)

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, StratumOutOfRange
+from .errors import StratumOutOfRange
 from .exactmath import QPolynomial
-from .secant_core import HilbertSeries, SecantInstance, _at_most, _printable, hilbert_series
+from .secant_core import HilbertSeries, SecantInstance, _at_most, _refuse, hilbert_series
 
 __all__ = [
     "SMOOTH_POINT",
@@ -96,8 +96,7 @@ def tangent_cone_at(inst: SecantInstance, stratum: int) -> TangentConeDescriptor
     stratum; raises :class:`StratumOutOfRange` unless 0 <= stratum <= k."""
     k = inst.order
     if stratum < 0 or stratum > k:
-        _printable("stratum", stratum)
-        raise StratumOutOfRange(f"stratum {stratum} outside 0..{k}")
+        _refuse("stratum {} outside 0..{k}", ("stratum", stratum), error=StratumOutOfRange, k=k)
     if stratum == k:
         # Smooth point: the tangent cone is the full projectivized tangent space.
         base, series = SMOOTH_POINT, HilbertSeries(QPolynomial.constant(1), 2 * k + 1)
@@ -127,7 +126,7 @@ def cone_over_secant(inst: SecantInstance, vertex_count: int) -> ConeOverSecant:
     case m = 0 is the variety itself."""
     _at_most("vertex_count", vertex_count, _MAX_VERTEX_COUNT)
     if vertex_count < 0:
-        raise DomainError(f"vertex_count {vertex_count} must be nonnegative")
+        _refuse("vertex_count {} must be nonnegative", ("vertex_count", vertex_count))
     base = hilbert_series(inst)
     return ConeOverSecant(
         inst,

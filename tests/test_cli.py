@@ -351,6 +351,22 @@ class TestAdmissionLimits:
         pytest.param(["coh-line", "--family", "N", "--points", "1", "--genus", "2",
                       "--degree", str(10**4000 - 1)],
                      "h0 of L exceeds the maximum 1000000", id="coh-line-largest-bundle-degree"),
+        pytest.param(["sweep", "--genus-range", "0", "--degree-range", "20", "--order-range",
+                      NINES, "--invariant", "degree"],
+                     f"order {NINES} exceeds the maximum order 200", id="sweep-longest-order"),
+        pytest.param(["sweep", "--genus-range", "0", "--degree-range", "20", "--order-range", "8",
+                      "--invariant", "hilbert", "--twist", f"-{NINES}"],
+                     f"twist -{NINES} must be nonnegative for --invariant hilbert",
+                     id="sweep-longest-negative-twist"),
+        pytest.param(["sweep", "--genus-range", f"0:{NINES[1:]}", "--degree-range", "20",
+                      "--order-range", "0", "--invariant", "degree"],
+                     f"sweep grid has {10**4299} cells, more than the maximum 10000",
+                     id="sweep-longest-cell-count"),
+        # a traceback: the count of a grid this wide has more than 4,300 digits
+        pytest.param(["sweep", f"--genus-range=-{NINES}:{NINES}", "--degree-range", "20",
+                      "--order-range", "0", "--invariant", "degree"],
+                     "sweep grid cell count has more than 4000 digits",
+                     id="sweep-unprintable-cell-count"),
     ])
     def test_rejected_before_any_work(self, argv, message):
         assert invoke(argv) == (2, "", f"error: domain: {message}\n")

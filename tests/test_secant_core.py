@@ -13,6 +13,7 @@ from secantinv import (
     LineBundleClass,
     QPolynomial,
     SecantInstance,
+    StratumOutOfRange,
     binomial,
     binomial_poly,
     canonical_h0,
@@ -127,6 +128,7 @@ class TestSecantInstance:
 # more digits than Python prints, and the most it prints
 UNPRINTABLE = 10**4300
 LONGEST = 10**4300 - 1
+LONGEST_BUNDLE = 10**4000 - 1
 NONSPECIAL = LineBundleClass.nonspecial(2, 9)
 
 
@@ -157,16 +159,22 @@ class TestUnprintableValues:
         ("genus", lambda v: LineBundleClass.nonspecial(v, 1)),
         ("stratum", lambda v: tangent_cone_at(SecantInstance(0, 3, 1), v)),
         ("stratum", lambda v: multiplicity_along_stratum(SecantInstance(0, 3, 1), v)),
+        ("twist", lambda v: node_values(SecantInstance(0, 3, 1))[v]),
     ], ids=["instance-genus", "instance-order", "instance-degree", "hilbert-function",
             "canonical-twist", "bundle-genus", "from-degree-genus", "determinant-points",
             "descent-points", "wedge-points", "cone-vertex-count", "sym-twist", "line-points",
             "wedge-table-twist", "wedge-twist", "wedge-index", "nonspecial-degree",
-            "nonspecial-genus", "tangent-stratum", "multiplicity-stratum"])
+            "nonspecial-genus", "tangent-stratum", "multiplicity-stratum", "node-twist"])
     @pytest.mark.parametrize("sign", (1, -1), ids=("past-limit", "below-sign-check"))
     def test_refused_by_name(self, label, call, sign):
         with pytest.raises(DomainError) as caught:
             call(sign * UNPRINTABLE)
         assert str(caught.value) == f"{label} has more than 4000 digits"
+
+    def test_series_refuses_a_long_negative_krull_dim(self):
+        # a long positive krull_dim is admitted: no check prints it
+        with pytest.raises(DomainError, match="^krull_dim has more than 4000 digits$"):
+            HilbertSeries(QPolynomial.constant(1), -UNPRINTABLE)
 
     @pytest.mark.parametrize("call", [
         lambda: sym_secant_table(SecantInstance(0, 3, 1), UNPRINTABLE),
@@ -196,13 +204,48 @@ class TestUnprintableValues:
          f"cohomological index {-LONGEST} must lie in 0..3"),
         (lambda: LineBundleClass.nonspecial(LONGEST, 1),
          f"degree 1 is not forced nonspecial for genus {LONGEST}"),
+        (lambda: SecantInstance(0, 3, -LONGEST), f"order {-LONGEST} must be nonnegative"),
+        (lambda: SecantInstance(0, -LONGEST, 0), f"degree {-LONGEST} violates d >= 2g+2k+1 = 1"),
+        (lambda: coh_canonical_twist(SecantInstance(1, 9, 1), -LONGEST, 0),
+         f"coh_canonical_twist needs twist > 0, got {-LONGEST}"),
+        (lambda: HilbertSeries(QPolynomial.constant(1), -LONGEST),
+         f"krull_dim {-LONGEST} must be positive"),
+        (lambda: coh_determinant_line(-LONGEST, NONSPECIAL, 0),
+         f"points {-LONGEST} must be positive"),
+        (lambda: cone_over_secant(SecantInstance(0, 4, 1), -LONGEST),
+         f"vertex_count {-LONGEST} must be nonnegative"),
+        (lambda: LineBundleClass.nonspecial(2, -LONGEST),
+         f"degree {-LONGEST} is not forced nonspecial for genus 2"),
+        (lambda: LineBundleClass(-LONGEST, 0, 1, 0), f"genus {-LONGEST} must be nonnegative"),
+        # a bundle's degree, h0 and h1 have at most 4,000 digits
+        (lambda: LineBundleClass(2, LONGEST_BUNDLE, LONGEST_BUNDLE, 1),
+         f"degree {LONGEST_BUNDLE} > 2g-2 forces h1 = 0, got 1"),
+        (lambda: LineBundleClass(2, -LONGEST_BUNDLE, 0, 0),
+         f"degree {-LONGEST_BUNDLE} < 0 forces h1 = {LONGEST_BUNDLE + 1}, got 0"),
+        (lambda: LineBundleClass(2, 1, -LONGEST_BUNDLE, 0),
+         f"h0 = {-LONGEST_BUNDLE}, h1 = 0 must be nonnegative"),
     ], ids=["genus", "negative-genus", "order", "negative-twist", "vertex-count",
             "negative-sym-twist", "negative-points", "wedge-twist", "wedge-index",
-            "nonspecial-genus"])
+            "nonspecial-genus", "negative-order", "degree-bound", "negative-canonical-twist",
+            "krull-dim", "negative-determinant-points", "negative-vertex-count",
+            "nonspecial-degree", "negative-bundle-genus", "forced-h1", "forced-negative-h1",
+            "negative-h0"])
     def test_printable_value_keeps_its_message(self, call, message):
         with pytest.raises(DomainError) as caught:
             call()
         assert str(caught.value) == message
+
+    # the refusals of another class than DomainError
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: tangent_cone_at(SecantInstance(0, 3, 1), LONGEST), StratumOutOfRange,
+         f"stratum {LONGEST} outside 0..1"),
+        (lambda: node_values(SecantInstance(0, 3, 1))[LONGEST], KeyError,
+         f"twist {LONGEST} outside node range range(-1, 3)"),
+    ], ids=["stratum", "node-twist"])
+    def test_printable_value_keeps_its_class_and_message(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert type(caught.value) is error and caught.value.args == (message,)
 
 
 class TestNodeValues:
