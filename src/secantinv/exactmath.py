@@ -234,9 +234,12 @@ def binomial_poly(shift: int, lower: int) -> QPolynomial:
     (t+shift)(t+shift-1)...(t+shift-lower+1) divided by lower!.
 
     Evaluating it at any integer t0 agrees with ``binomial(t0 + shift, lower)``.
+    ``lower`` is at most 401, the highest degree chi has (2k+1 at order 200).
     """
     if lower < 0:
         raise ValueError("lower index of binomial_poly must be nonnegative")
+    if lower > 401:
+        raise ValueError("lower index of binomial_poly must be at most 401")
     poly = QPolynomial.constant(1)
     for i in range(lower):
         poly = poly * QPolynomial((Fraction(shift - i), Fraction(1)))

@@ -12,14 +12,8 @@ values): 1 - C(g+k, k+1) at twist 0, C(d-g+l, l) at twists 1..k+1, and at
 negative twists the value forced by the vanishing of the alternating sum
 sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
 (g, d).  The node values are integers, built bottom-up in one table per
-(g, d), shared by all orders and grown on demand: row j holds chi_j from
-twist j+1 downward, its twists -1..-j come from the rows below it, and the
-vanishing (2j+2)-th forward difference of chi_j extends it below twist -j,
-but only down to twist -(j + min(g, K-j)) for the highest order K asked
-for so far, the lowest twist at which a later row reads it (so at g = 0 no
-row is extended).  Asking for a higher order deepens the rows built so far
-and appends new ones; asking for a lower order reads its row.  The
-polynomial is then computed twice, by Gregory-Newton forward differences
+(g, d), shared by every order and grown on demand.  The polynomial is
+then computed twice, by Gregory-Newton forward differences
 and by Newton divided differences, both in integer arithmetic with one
 ``Fraction`` per coefficient, and the two must agree exactly.  The Hilbert
 series numerator is read from the node values too, by differences and
@@ -75,6 +69,11 @@ _MAX_ORDER = 200
 _MAX_GENUS = 10**6
 _MAX_DEGREE = 10**9
 _MAX_TWIST = 10**6
+
+# Admission limits of HilbertSeries.expand: the most values, and the most
+# running-sum steps, max(count, 1) * krull_dim, it takes.
+_MAX_EXPAND = 10**4
+_MAX_EXPAND_WORK = 2 * 10**5
 
 
 # The smallest absolute value with more than 4,300 digits, the most that
@@ -187,6 +186,10 @@ class HilbertSeries:
     def __post_init__(self) -> None:
         if self.krull_dim < 1:
             _refuse("krull_dim {} must be positive", ("krull_dim", self.krull_dim))
+        # a coefficient too long to print is refused before a check prints it
+        for c in self.numerator.coefficients:
+            if abs(c.numerator) >= _MAX_PRINTED or c.denominator >= _MAX_PRINTED:
+                raise DomainError("series numerator coefficient has more than 4000 digits")
         if self.numerator.coefficient(0) != 1:
             raise InternalMismatch(
                 f"series numerator has constant term {self.numerator.coefficient(0)}, expected 1"
@@ -204,7 +207,12 @@ class HilbertSeries:
     def expand(self, count: int) -> list[int]:
         """First ``count`` Hilbert-function values H(0), ..., H(count-1):
         krull_dim running sums of the numerator's coefficients, each a
-        division by (1-t)."""
+        division by (1-t).  A count above 10**4, or work max(count, 1) *
+        krull_dim above 2 * 10**5, is refused."""
+        _at_most("count", count, _MAX_EXPAND)
+        if count < 0:
+            _refuse("count {} must be nonnegative", ("count", count))
+        _at_most("expansion work", max(count, 1) * self.krull_dim, _MAX_EXPAND_WORK)
         values = [int(self.numerator.coefficient(n)) for n in range(count)]
         for _ in range(self.krull_dim):
             values = list(accumulate(values))
@@ -242,34 +250,38 @@ def _node_values(genus: int, degree: int, order: int) -> tuple[int, ...]:
     """Node values of order k at twists -k..k+1, as a tuple indexed by
     twist + k, read from the (g, d) node table after growing it to order k.
 
-    Row j is read only by rows j+1..j+min(g, k-j), at twists no lower than
-    -(j + min(g, k-j)), so growth to order k deepens it down to that twist.
-    A row joins the table only once it is complete, and a row is deepened
-    only by appending exact values, so an interrupted growth leaves a table
-    that is still consistent."""
+    The twists -1..-j of row j come from the rows below it, and the
+    vanishing (2j+2)-th forward difference of chi_j extends it further.  Row
+    j is read only by rows j+1..j+min(g, k-j), at twists no lower than
+    -(j + min(g, k-j)), so it keeps 2j+2+min(g, K-j) entries for the highest
+    order K asked for so far (at g = 0 no row is extended).  Growth to a
+    higher order is one bottom-up pass that builds each missing row and
+    deepens each row to that length, so every row a new row reads is already
+    at its final depth; a lower order reads its row.  A row joins the table
+    only once its 2j+2 node values are complete, and a row is deepened only
+    by appending exact values, so an interrupted growth leaves a table that
+    is still consistent."""
     g, d, k = genus, degree, order
     with _GROWTH:
         rows = _node_table(g, d).rows
         if k >= len(rows):
-            for j, row in enumerate(rows):
-                _deepen(row, j, 2 * j + 2 + min(g, k - j))
             weights = [(-1) ** i * binomial(g, i) for i in range(1, min(g, k) + 1)]
-            for j in range(len(rows), k + 1):
-                # The positive values C(d-g+t, t) at twists j..1 are the first
-                # j entries of row j-1, shared rather than rebuilt.
-                row = [binomial(d - g + j + 1, j + 1), *(rows[j - 1][:j] if j else ()),
-                       1 - binomial(g + j, j + 1)]
-                # The alternating sum over i = 0..j of (-1)^i C(g,i) chi_{j-i}
-                # vanishes at twists -1..-j, so the i = 0 term is minus the
-                # rest; chi_{j-i} at those twists is entries j-i+2..2j-i+1 of
-                # row j-i.
-                negative = [0] * j
-                for i, w in enumerate(weights[:j], 1):
-                    lower = rows[j - i][j - i + 2:2 * j - i + 2]
-                    negative = [v - w * u for v, u in zip(negative, lower)]
-                row += negative
-                _deepen(row, j, 2 * j + 2 + min(g, k - j))
-                rows.append(row)
+            for j in range(k + 1):
+                if j == len(rows):
+                    # The positive values C(d-g+t, t) at twists j..1 are the
+                    # first j entries of row j-1, shared rather than rebuilt.
+                    row = [binomial(d - g + j + 1, j + 1), *(rows[j - 1][:j] if j else ()),
+                           1 - binomial(g + j, j + 1)]
+                    # The alternating sum over i = 0..j of (-1)^i C(g,i)
+                    # chi_{j-i} vanishes at twists -1..-j, so the i = 0 term
+                    # is minus the rest; chi_{j-i} at those twists is entries
+                    # j-i+2..2j-i+1 of row j-i.
+                    negative = [0] * j
+                    for i, w in enumerate(weights[:j], 1):
+                        lower = rows[j - i][j - i + 2:2 * j - i + 2]
+                        negative = [v - w * u for v, u in zip(negative, lower)]
+                    rows.append(row + negative)
+                _deepen(rows[j], j, 2 * j + 2 + min(g, k - j))
     return tuple(rows[k][2 * k + 1::-1])
 
 

@@ -614,6 +614,52 @@ class TestErrorTaxonomy:
         assert err == "error: internal-mismatch: forced disagreement\n"
 
 
+class TestGuardCount:
+    """What the benchmark's traced check reads of the engine: every chi build
+    runs the dual-route guard, one interpolation, and the two cache clears
+    empty every engine cache."""
+
+    REQUESTS = [
+        ["series", "--genus", "3", "--degree", "40", "--order", "4"],
+        ["degree", "--genus", "2", "--degree", "9", "--order", "1"],
+        ["generators", "--genus", "5", "--degree", "35", "--order", "3", "--format", "json"],
+        ["coh-sym", "--genus", "3", "--degree", "40", "--order", "5", "--twist", "7"],
+        ["tangent-cone", "--genus", "2", "--degree", "30", "--order", "4", "--stratum", "1"],
+        ["series", "--genus", "3", "--degree", "40", "--order", "4", "--format", "csv"],
+    ]
+
+    def test_interpolations_equal_chi_builds(self, monkeypatch):
+        import secantinv.secant_core as core
+
+        core._chi.cache_clear()
+        core._node_table.cache_clear()
+        interpolations = 0
+        real = core.lagrange_interpolate
+
+        def counting(nodes):
+            nonlocal interpolations
+            interpolations += 1
+            return real(nodes)
+
+        monkeypatch.setattr(core, "lagrange_interpolate", counting)
+        for argv in self.REQUESTS:
+            assert invoke(argv)[0] == 0, argv
+        builds = core._chi.cache_info().currsize
+        # coh-sym builds chi at orders 5, 3 and 2, as the first request built
+        # order 4; tangent-cone builds that of its base; the repeat builds none
+        assert builds == 7
+        assert interpolations == builds
+
+        inst = SecantInstance(3, 40, 4)
+        kept = hilbert_series(inst)
+        core._chi.cache_clear()
+        core._node_table.cache_clear()
+        assert core._chi.cache_info().currsize == core._node_table.cache_info().currsize == 0
+        rebuilt = hilbert_series(inst)
+        assert rebuilt is not kept and rebuilt == kept
+        assert interpolations == builds + 1 == builds + core._chi.cache_info().currsize
+
+
 class TestValidateCommand:
     def test_validate_passes(self):
         code, out, _ = invoke(["validate"])

@@ -63,6 +63,13 @@ class TestBinomialPoly:
         with pytest.raises(ValueError):
             binomial_poly(0, -1)
 
+    # 401 = 2*200+1, the highest degree chi has; the product takes time
+    # quadratic in lower, so a larger one is refused before any of it
+    @pytest.mark.parametrize("lower", [402, 10**6, 10**4300], ids=["402", "10**6", "10**4300"])
+    def test_lower_above_the_top_chi_degree_rejected(self, lower):
+        with pytest.raises(ValueError, match="^lower index of binomial_poly must be at most 401$"):
+            binomial_poly(0, lower)
+
 
 class TestQPolynomial:
     def test_zero_normalization(self):

@@ -171,6 +171,15 @@ class TestUnprintableValues:
             call(sign * UNPRINTABLE)
         assert str(caught.value) == f"{label} has more than 4000 digits"
 
+    @pytest.mark.parametrize("coefficients", [
+        (UNPRINTABLE,), (1, -UNPRINTABLE), (1, Fraction(1, UNPRINTABLE)),
+    ], ids=["constant-term", "negative", "denominator"])
+    def test_series_refuses_a_long_numerator_coefficient(self, coefficients):
+        # each would fail a check that prints it; 10**4300 has 4,301 digits
+        with pytest.raises(DomainError) as caught:
+            HilbertSeries(QPolynomial(coefficients), 4)
+        assert str(caught.value) == "series numerator coefficient has more than 4000 digits"
+
     def test_series_refuses_a_long_negative_krull_dim(self):
         # a long positive krull_dim is admitted: no check prints it
         with pytest.raises(DomainError, match="^krull_dim has more than 4000 digits$"):
@@ -422,6 +431,26 @@ class TestSharedNodeTable:
             core._node_table.cache_clear()
 
 
+class TestNodeTableDepth:
+    """Row j of a node table keeps 2j+2+min(g, K-j) entries, K the highest
+    order asked for so far: the lowest twist a later row reads, and no lower."""
+
+    @pytest.mark.parametrize("ordering", TestSharedNodeTable.ORDERINGS)
+    @pytest.mark.parametrize("g", TestSharedNodeTable.GENERA)
+    def test_rows_keep_the_depth_later_rows_read(self, g, ordering):
+        import secantinv.secant_core as core
+
+        d = 2 * g + 2 * 12 + 3
+        core._node_table.cache_clear()
+        highest = -1
+        for k in TestSharedNodeTable.ORDERINGS[ordering]:
+            node_values(SecantInstance(g, d, k))
+            highest = max(highest, k)
+            lengths = [len(row) for row in core._node_table(g, d).rows]
+            assert lengths == [2 * j + 2 + min(g, highest - j) for j in range(highest + 1)], k
+        core._node_table.cache_clear()
+
+
 class TestHilbertPolynomial:
     def test_riemann_roch_curve_case(self):
         for g in range(6):
@@ -581,6 +610,25 @@ class TestHilbertSeries:
         with pytest.raises(InternalMismatch) as caught:
             HilbertSeries(QPolynomial(coefficients), 4)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("krull_dim, count, message", [
+        (4, -1, "count -1 must be nonnegative"),
+        (4, 10**4 + 1, "count 10001 exceeds the maximum 10000"),
+        (4, -UNPRINTABLE, "count has more than 4000 digits"),
+        (21, 10**4, "expansion work 210000 exceeds the maximum 200000"),
+        (2 * 10**5 + 1, 0, "expansion work 200001 exceeds the maximum 200000"),
+        (UNPRINTABLE, 1, "expansion work has more than 4000 digits"),
+    ], ids=["negative", "count", "long-count", "work", "empty-work", "long-work"])
+    def test_expand_refuses_past_its_limits(self, krull_dim, count, message):
+        with pytest.raises(DomainError) as caught:
+            HilbertSeries(QPolynomial([1, 1]), krull_dim).expand(count)
+        assert str(caught.value) == message
+
+    def test_expand_admits_its_limits(self):
+        values = HilbertSeries(QPolynomial([1, 1]), 20).expand(10**4)
+        # H(n) = C(n+19, 19) + C(n+18, 19) for Q = 1+t over (1-t)^20
+        assert values[:2] == [1, 21] and values[-1] == comb(10**4 + 18, 19) + comb(10**4 + 17, 19)
+        assert HilbertSeries(QPolynomial([1]), 2 * 10**5).expand(1) == [1]
 
     def test_invariants_and_expansion_on_grid(self):
         for inst in valid_grid(3, 3, 3):
