@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import binomial
-from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _at_most, _refuse,
+from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _at_most, _integral, _refuse,
                           hilbert_function, hilbert_polynomial)
 
 __all__ = [
@@ -185,8 +185,9 @@ def coh_sym_secant_sheaf(inst: SecantInstance, twist: int, i: int) -> int:
     For twist > 0 this is C(g, i) copies of the Hilbert function of the
     order-(k-i) secant variety for 0 <= i <= k, and 0 for i = k+1; at
     twist 0 it is C(g, i) for 0 <= i <= k+1 (cohomology of the structure
-    sheaf of the symmetric product).
+    sheaf of the symmetric product).  A twist that is not an integer is refused.
     """
+    _integral("twist", twist)
     if twist < 0:
         _refuse("coh_sym_secant_sheaf needs twist >= 0, got {}", ("twist", twist))
     g, d, k = inst.genus, inst.degree, inst.order
@@ -293,8 +294,10 @@ def coh_wedge_secant_sheaf(
 def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     """h^i of the canonical-twisted symmetric powers for twist > 0: -chi at
     twist -twist of the order-(k-i) secant variety for i in {0, 1} with
-    i <= k, and 0 otherwise.  Twists above 10**6 are refused."""
+    i <= k, and 0 otherwise.  A twist above 10**6, or not an integer, is
+    refused."""
     _at_most("twist", twist, _MAX_TWIST)
+    _integral("twist", twist)
     if twist <= 0:
         _refuse("coh_canonical_twist needs twist > 0, got {}", ("twist", twist))
     g, d, k = inst.genus, inst.degree, inst.order

@@ -2,14 +2,18 @@
 
 Everything here is integer or rational arithmetic with no rounding of any
 kind: integers are Python ints, rationals are ``fractions.Fraction`` (always
-stored in lowest terms with positive denominator), and polynomials carry a
-dense ascending list of rational coefficients in the twist variable t.
+stored in lowest terms with positive denominator), and a polynomial in the
+twist variable t is stored in its canonical integer form: one positive
+denominator D and the integer numerators of its coefficients over D, in
+ascending degree, with no factor common to D and every numerator.  Its
+coefficients as ``Fraction`` objects are built only when read.
 
-Evaluation (:meth:`QPolynomial.__call__`) and :func:`lagrange_interpolate`
-run on Python ints and build one ``Fraction`` per result: evaluation is
-Horner's rule over the common denominator of the coefficients, scaled once
-per polynomial, and interpolation, one of the two routes of every chi build,
-runs a fraction-free divided-difference table and expands it in integers.
+Equality, sums and products, evaluation (:meth:`QPolynomial.__call__`) and
+:func:`lagrange_interpolate` run on Python ints: evaluation is Horner's rule
+on the numerators and builds one ``Fraction``, and interpolation, one of the
+two routes of every chi build, runs a divided-difference table that divides
+nothing, each column scaled by the lcm of its gaps, and expands it in
+integers over one denominator.
 :func:`finite_difference_numerator` derives a series numerator from values;
 the engine reads its numerator from the node values instead, and ``validate``
 and the tests compare the two.
@@ -23,12 +27,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import DuplicateNode, InternalMismatch, NonvanishingTail
+from .errors import DuplicateNode, NonvanishingTail
 
 # The only numeric carriers in the package.
 Rational = Fraction
@@ -74,23 +78,65 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True)
 class QPolynomial:
     """Univariate polynomial in the twist variable t with exact rational
-    coefficients, stored densely in ascending degree.
+    coefficients, stored in its canonical integer form.
 
-    The highest-index coefficient is nonzero unless the polynomial is zero,
-    which is represented by an empty coefficient tuple (degree -1).
+    The form is a denominator D > 0 and the integer numerators n_0..n_m in
+    ascending degree, with coefficient j equal to n_j / D, n_m nonzero and
+    gcd(D, n_0, ..., n_m) = 1, so that equal polynomials have equal forms.
+    The zero polynomial has no numerators, D = 1 and degree -1.  The
+    coefficients as ``Fraction`` objects are built on first read.
     Instances are immutable and safe to share between threads.
     """
 
-    coefficients: tuple[Fraction, ...] = ()
+    denominator: int
+    numerators: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in self.coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+    def __init__(self, coefficients: Iterable[Fraction] = ()) -> None:
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
+        common = math.lcm(*(c.denominator for c in coeffs))
+        self._reduce([c.numerator * (common // c.denominator) for c in coeffs], common)
+
+    @classmethod
+    def _over(cls, numerators: Sequence[int], denominator: int) -> "QPolynomial":
+        """The polynomial sum_j numerators[j] t^j / denominator, for a
+        positive ``denominator``: reduced by one gcd, with no ``Fraction``."""
+        poly = cls.__new__(cls)
+        poly._reduce(numerators, denominator)
+        return poly
+
+    def _reduce(self, numerators: Sequence[int], denominator: int) -> None:
+        top = len(numerators)
+        while top and not numerators[top - 1]:
+            top -= 1
+        kept = numerators[:top]
+        common = math.gcd(denominator, *kept)
+        if common > 1:
+            kept = [c // common for c in kept]
+        self.__dict__.update(denominator=denominator // common, numerators=tuple(kept))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.denominator == other.denominator and self.numerators == other.numerators
+
+    def __hash__(self) -> int:
+        return hash((self.denominator, self.numerators))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(coefficients={self.coefficients!r})"
+
+    @cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients in ascending degree, each a ``Fraction``."""
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -107,73 +153,66 @@ class QPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coefficients:
+        if not self.numerators:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coefficients):
-            return self.coefficients[power]
+        if 0 <= power < len(self.numerators):
+            return Fraction(self.numerators[power], self.denominator)
         return Fraction(0)
 
-    @cached_property
-    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """The common denominator D of the coefficients, and D times each
-        coefficient, highest degree first; built once per polynomial."""
-        common = math.lcm(*(c.denominator for c in self.coefficients))
-        return common, tuple(c.numerator * (common // c.denominator)
-                             for c in reversed(self.coefficients))
-
     def __call__(self, point: RationalLike) -> Fraction:
-        """Value at ``point``: Horner's rule on integers, over the common
-        denominator D of the coefficients and with the point p/q
-        homogenized, so that acc = D * q^n * value after the last step."""
-        if not self.coefficients:
+        """Value at ``point``: Horner's rule on the integer numerators, with
+        the point p/q homogenized, so that acc = D * q^n * value after the
+        last step."""
+        if not self.numerators:
             return Fraction(0)
-        x = Fraction(point)
+        x = point if isinstance(point, (int, Fraction)) else Fraction(point)
         p, q = x.numerator, x.denominator
-        common, scaled = self._integer_form
         acc = 0
         q_power = 1  # q^j at the coefficient j places below the top
-        for c in scaled:
+        for c in reversed(self.numerators):
             acc = acc * p + c * q_power
             q_power *= q
-        return Fraction(acc, common * (q_power // q))
+        return Fraction(acc, self.denominator * (q_power // q))
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        a, b = self.coefficients, other.coefficients
+        common = math.lcm(self.denominator, other.denominator)
+        a = [c * (common // self.denominator) for c in self.numerators]
+        b = [c * (common // other.denominator) for c in other.numerators]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
+            a[i] += c
+        return QPolynomial._over(a, common)
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple(-c for c in self.coefficients))
+        return QPolynomial._over([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other: "QPolynomial") -> "QPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "QPolynomial | RationalLike") -> "QPolynomial":
         if isinstance(other, QPolynomial):
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
+            out = [0] * (len(self.numerators) + len(other.numerators) - 1)
+            for i, a in enumerate(self.numerators):
                 if a == 0:
                     continue
-                for j, b in enumerate(other.coefficients):
+                for j, b in enumerate(other.numerators):
                     out[i + j] += a * b
-            return QPolynomial(out)
+            return QPolynomial._over(out, self.denominator * other.denominator)
         scale = Fraction(other)
-        return QPolynomial(tuple(c * scale for c in self.coefficients))
+        return QPolynomial._over([c * scale.numerator for c in self.numerators],
+                                 self.denominator * scale.denominator)
 
     def __rmul__(self, other: RationalLike) -> "QPolynomial":
         return self * other
@@ -251,16 +290,16 @@ def lagrange_interpolate(
 ) -> QPolynomial:
     """Unique polynomial of degree <= len(nodes)-1 through the given nodes.
 
-    Computed by Newton divided differences, fraction-free: the abscissae
-    and ordinates are scaled to integers u_j and v_j, and with
-    M = prod_{r=1..n-1} lcm_i (u_i - u_{i-r}) every divided difference of the
-    v_j times M is an integer (by induction over the columns, as the column
-    of order r divides only by the spacings u_i - u_{i-r}), so the table
-    needs only exact integer division (a nonzero remainder raises
-    :class:`InternalMismatch`).  The Newton form is expanded in integers,
-    and one ``Fraction`` is built per coefficient, so the result reproduces
-    every node ordinate with zero error.  Raises :class:`DuplicateNode` if
-    two abscissae coincide.
+    Computed by Newton divided differences, division-free: the abscissae and
+    ordinates are scaled to integers u_j and v_j, and column r of the table
+    multiplies each difference by lcm_r / (u_i - u_{i-r}), where lcm_r is the
+    lcm of that column's gaps.  Column r then holds M_r times the divided
+    differences of order r, with the running scale M_r = M_{r-1} * lcm_r and
+    M_0 = 1, and every entry is an integer.  The Newton form is expanded in
+    integers with coefficient r scaled by M / M_r, M the last M_r, and the
+    result is built over one denominator, so it reproduces every node
+    ordinate with zero error.  Raises :class:`DuplicateNode` if two
+    abscissae coincide.
     """
     if not nodes:
         raise ValueError("lagrange_interpolate requires at least one node")
@@ -276,33 +315,35 @@ def lagrange_interpolate(
     n = len(nodes)
     if len(set(us)) != n:  # u_j = u_m exactly when x_j = x_m
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
-    scale = math.prod(math.lcm(*(us[i] - us[i - r] for i in range(r, n))) for r in range(1, n))
 
-    # Divided-difference table, in place: coef[i] ends as scale * v[u_0, ..., u_i].
-    coef = [y.numerator * (y_scale // y.denominator) * scale for y in ys]
+    # Divided-difference table, in place: coef[i] ends as M_i * v[u_0, ..., u_i].
+    coef = [y.numerator * (y_scale // y.denominator) for y in ys]
+    lcms = []  # lcm_1..lcm_{n-1}
     for order in range(1, n):
+        gaps = [us[i] - us[i - order] for i in range(order, n)]
+        lcm = math.lcm(*gaps)
+        lcms.append(lcm)
         for i in range(n - 1, order - 1, -1):
-            coef[i], remainder = divmod(coef[i] - coef[i - 1], us[i] - us[i - order])
-            if remainder:
-                raise InternalMismatch(
-                    f"divided difference of order {order} at node {i} is not a multiple of 1/{scale}"
-                )
+            coef[i] = (coef[i] - coef[i - 1]) * (lcm // gaps[i - order])
 
-    # Expand the Newton form coef[0] + coef[1](u-u_0) + ... into monomials.
+    # Expand M times the Newton form coef[0] + coef[1](u-u_0)/M_1 + ... into
+    # monomials; scale ends as M / M_0 = M.
     poly = [coef[n - 1]]
+    scale = 1  # M / M_i
     for i in range(n - 2, -1, -1):
+        scale *= lcms[i]
+        u = us[i]
         shifted = [0, *poly]
         for power, c in enumerate(poly):
-            shifted[power] -= us[i] * c
-        shifted[0] += coef[i]
+            shifted[power] -= u * c
+        shifted[0] += coef[i] * scale
         poly = shifted
 
-    coefficients = []
     x_power = 1
-    for c in poly:
-        coefficients.append(Fraction(c * x_power, scale * y_scale))
+    for power in range(1, n):
         x_power *= x_scale
-    return QPolynomial(tuple(coefficients))
+        poly[power] *= x_power
+    return QPolynomial._over(poly, scale * y_scale)
 
 
 def finite_difference_numerator(
@@ -331,4 +372,4 @@ def finite_difference_numerator(
             raise NonvanishingTail(
                 f"difference of order {krull_dim} is {q[n]} != 0 at twist {n}"
             )
-    return QPolynomial(q[:krull_dim + 1])
+    return QPolynomial._over(q[:krull_dim + 1], 1)

@@ -12,18 +12,23 @@ values): 1 - C(g+k, k+1) at twist 0, C(d-g+l, l) at twists 1..k+1, and at
 negative twists the value forced by the vanishing of the alternating sum
 sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
 (g, d).  The node values are integers, built bottom-up in one table per
-(g, d), shared by every order and grown on demand.  The polynomial is
-then computed twice, by Gregory-Newton forward differences
-and by Newton divided differences, both in integer arithmetic with one
-``Fraction`` per coefficient, and the two must agree exactly.  The Hilbert
-series numerator is read from the node values too, by differences and
-Stanley's reciprocity; its integer coefficients must sum to the degree, and
-one sum over them, the expansion at twist k+2, to chi(k+2).  A series that
-passes both checks is kept beside the rows of its (g, d) node table and
-returned to every later request of its order, so emptying the node-table
-cache (``_node_table.cache_clear()``) empties it too; a build that fails a
-check keeps nothing.  Orders above 200, genera above 10**6, degrees above
-10**9 and twists above 10**6 are refused.  Every refusal of the engine, the
+(g, d), shared by every order and grown on demand.  The polynomial is then
+computed twice, by Gregory-Newton forward differences over (2k+1)! and by
+Newton divided differences over the interpolation table's running scale,
+both in integer arithmetic.  Each route is reduced to its canonical integer
+form, one denominator and the integer numerators over it, and the two forms
+must agree exactly.  The degree, the generator count, the Hilbert function
+and the series checks read those integers, so no coefficient of chi or of
+the series numerator becomes a ``Fraction`` unless a caller reads
+``coefficients``.  The Hilbert series numerator is read from the node values
+too, by differences and Stanley's reciprocity; its integer coefficients must
+sum to the degree, and one sum over them, the expansion at twist k+2, to
+chi(k+2).  A series that passes both checks is kept beside the rows of its
+(g, d) node table and returned to every later request of its order, so
+emptying the node-table cache (``_node_table.cache_clear()``) empties it
+too; a build that fails a check keeps nothing.  Orders above 200, genera
+above 10**6, degrees above 10**9 and twists above 10**6 are refused, and so
+is a twist that is not an integer.  Every refusal of the engine, the
 cohomology tables, the tangent cones and ``sweep`` that prints an integer it
 was passed formats it through ``_refuse``, which refuses an integer with more
 than 4,300 digits, the most Python prints, by name instead.
@@ -92,6 +97,13 @@ def _refuse(template: str, *values: tuple[str, int], error: type[Exception] = Do
         if abs(value) >= _MAX_PRINTED:
             raise DomainError(f"{label} has more than 4000 digits")
     raise error(template.format(*(value for _, value in values), **fixed))
+
+
+def _integral(label: str, value: int) -> None:
+    """Refuse a ``value`` that is not a whole number, such as 3/2 or 1.5,
+    before anything is evaluated at it."""
+    if value % 1:
+        _refuse(f"{label} {{}} must be an integer", (label, value))
 
 
 def _at_most(label: str, value: int, maximum: int, bound: str = "maximum") -> None:
@@ -186,15 +198,17 @@ class HilbertSeries:
     def __post_init__(self) -> None:
         if self.krull_dim < 1:
             _refuse("krull_dim {} must be positive", ("krull_dim", self.krull_dim))
+        # integer coefficients are read as the ints they are, with no Fraction
+        poly = self.numerator
+        coefficients = poly.numerators if poly.denominator == 1 else poly.coefficients
         # a coefficient too long to print is refused before a check prints it
-        for c in self.numerator.coefficients:
+        for c in coefficients:
             if abs(c.numerator) >= _MAX_PRINTED or c.denominator >= _MAX_PRINTED:
                 raise DomainError("series numerator coefficient has more than 4000 digits")
-        if self.numerator.coefficient(0) != 1:
-            raise InternalMismatch(
-                f"series numerator has constant term {self.numerator.coefficient(0)}, expected 1"
-            )
-        for power, c in enumerate(self.numerator.coefficients):
+        constant = coefficients[0] if coefficients else 0
+        if constant != 1:
+            raise InternalMismatch(f"series numerator has constant term {constant}, expected 1")
+        for power, c in enumerate(coefficients):
             if c.denominator != 1 or c < 0:
                 raise InternalMismatch(
                     f"series numerator coefficient {c} at power {power} is not a nonnegative integer"
@@ -213,7 +227,8 @@ class HilbertSeries:
         if count < 0:
             _refuse("count {} must be nonnegative", ("count", count))
         _at_most("expansion work", max(count, 1) * self.krull_dim, _MAX_EXPAND_WORK)
-        values = [int(self.numerator.coefficient(n)) for n in range(count)]
+        q = self.numerator.numerators  # integers, over denominator 1
+        values = [*q[:count], *[0] * (count - len(q))]
         for _ in range(self.krull_dim):
             values = list(accumulate(values))
         return values
@@ -302,8 +317,8 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
     On the unit-spaced node twists -k..k+1, chi(t) = sum_{m=0..n} D_m C(t+k, m)
     with n = 2k+1 and D_m the m-th forward difference of the node values at
     twist -k.  Times n!, the sum nests as S_m = D_m n!/m! + (t+k-m) S_{m+1},
-    from S_{n+1} = 0 down to S_0 = n! chi(t), whose coefficients are integers
-    and are divided by n! once each.
+    from S_{n+1} = 0 down to S_0 = n! chi(t), whose integer coefficients are
+    put over the one denominator n!.
     """
     k = order
     n = 2 * k + 1
@@ -318,8 +333,7 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
         total = [(k - m) * c + b for c, b in zip([*total, 0], [0, *total])]
         total[0] += differences[m] * scale
         scale *= m
-    denominator = math.factorial(n)
-    return QPolynomial(tuple(Fraction(c, denominator) for c in total))
+    return QPolynomial._over(total, math.factorial(n))
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +349,7 @@ def _chi(genus: int, degree: int, order: int) -> QPolynomial:
             f"closed form {closed} and interpolant {interpolated} disagree "
             f"for (g, d, k) = ({genus}, {degree}, {order})"
         )
-    if closed.degree != 2 * order + 1 or closed.leading_coefficient <= 0:
+    if closed.degree != 2 * order + 1 or closed.numerators[-1] <= 0:
         raise InternalMismatch(
             f"chi for ({genus}, {degree}, {order}) has degree {closed.degree} "
             f"and leading coefficient {closed.leading_coefficient}"
@@ -358,9 +372,11 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     """Dimension of the degree-``twist`` graded piece of the coordinate ring.
 
     Equals 1 at twist 0 (projective normality) and chi(twist) for twist > 0,
-    where all higher cohomology of the twist vanishes; twists above 10**6 are refused.
+    where all higher cohomology of the twist vanishes; a twist above 10**6,
+    or not an integer, is refused.
     """
     _at_most("twist", twist, _MAX_TWIST)
+    _integral("twist", twist)
     if twist < 0:
         _refuse("hilbert_function needs twist >= 0, got {}", ("twist", twist))
     if twist == 0:
@@ -373,11 +389,13 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
 
 def variety_degree(inst: SecantInstance) -> int:
     """(2k+1)! times the leading coefficient of chi."""
-    lead = hilbert_polynomial(inst).leading_coefficient
-    value = lead * math.factorial(inst.variety_dim)
-    if value.denominator != 1 or value < 1:
+    chi = hilbert_polynomial(inst)
+    scaled = chi.numerators[-1] * math.factorial(inst.variety_dim)
+    value, remainder = divmod(scaled, chi.denominator)
+    if remainder or value < 1:
+        value = Fraction(scaled, chi.denominator)
         raise InternalMismatch(f"degree {value} is not a positive integer")
-    return int(value)
+    return value
 
 
 def _series_numerator(genus: int, degree: int, order: int) -> list[int]:
@@ -413,7 +431,7 @@ def hilbert_series(inst: SecantInstance) -> HilbertSeries:
     if k in built:
         return built[k]
     q = _series_numerator(inst.genus, inst.degree, k)
-    series = HilbertSeries(QPolynomial(q), inst.krull_dim)
+    series = HilbertSeries(QPolynomial._over(q, 1), inst.krull_dim)
     if sum(q) != variety_degree(inst):
         raise InternalMismatch(
             f"series numerator at 1 gives {sum(q)}, "

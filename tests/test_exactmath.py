@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -154,6 +156,38 @@ class TestQPolynomial:
 
     def test_divide_zero_by_linear(self):
         assert QPolynomial.zero().divide_by_linear(3) == (QPolynomial.zero(), 0)
+
+    @pytest.mark.parametrize("name", ["coefficients", "numerators", "denominator", "other"])
+    def test_assigning_an_attribute_raises(self, name):
+        p = QPolynomial([1, Fraction(-3, 4)])
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+        assert p == QPolynomial(["1", "-3/4"]) and p.coefficients == (1, Fraction(-3, 4))
+
+    def test_threads_reading_one_fresh_polynomial_get_equal_coefficients(self):
+        expected = tuple(Fraction(7 * j - 100, 2 * 3 * 5 * 7) for j in range(60))
+        p = QPolynomial(expected)
+        start = threading.Barrier(8)
+        seen = []
+
+        def read():
+            start.wait(timeout=10)
+            seen.append(p.coefficients)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and all(coefficients == expected for coefficients in seen)
 
 
 class TestRationalFormat:

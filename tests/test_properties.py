@@ -1,10 +1,11 @@
 """Randomised checks of the engine against the independent oracles, plus
 metamorphic relations between its outputs.  Draws are derandomized, so every
 run checks the same instances; the fixed grids in the other test files stay
-the primary coverage.  The last two tests compare the integer evaluation and
-interpolation of :mod:`secantinv.exactmath` with naive ``Fraction`` versions
-written here."""
+the primary coverage.  The last three tests compare the integer form,
+evaluation and interpolation of :mod:`secantinv.exactmath` with naive
+``Fraction`` versions written here."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -199,3 +200,37 @@ def test_interpolation_matches_naive_fraction_lagrange(points):
     assert poly == QPolynomial(naive_lagrange(points))
     for x, y in points:
         assert naive_horner(poly.coefficients, x) == y
+
+
+@st.composite
+def integer_forms(draw):
+    """(numerators, D) with D > 0: the numerators are sometimes all zero, so
+    the zero polynomial is drawn too, may be negative, end in 0 to 3 zeros,
+    and share a factor drawn with D."""
+    values = st.integers(-10**6, 10**6)
+    numerators = draw(st.one_of(st.lists(st.just(0), max_size=3), st.lists(values, max_size=8)))
+    shared = draw(st.sampled_from([1, 2, 6, 35, 10**20]))
+    numerators = [n * shared for n in numerators] + [0] * draw(st.integers(0, 3))
+    return numerators, draw(st.integers(1, 10**4)) * shared
+
+
+@checked
+@given(integer_forms(), st.lists(rationals, max_size=4))
+def test_integer_form_matches_the_fraction_constructor(form, points):
+    numerators, denominator = form
+    fractions = [Fraction(n, denominator) for n in numerators]
+    built, given = QPolynomial._over(numerators, denominator), QPolynomial(fractions)
+    assert built == given and hash(built) == hash(given)
+    assert built.denominator > 0 and math.gcd(built.denominator, *built.numerators) == 1
+    top = max((j for j, n in enumerate(numerators) if n), default=-1)
+    assert built.degree == given.degree == top
+    if top < 0:
+        with pytest.raises(ValueError):
+            built.leading_coefficient
+    else:
+        assert built.leading_coefficient == given.leading_coefficient == fractions[top]
+    for x in points:
+        assert built(x) == given(x) == naive_horner(fractions, x)
+    assert built.coefficients == given.coefficients == tuple(fractions[:top + 1])
+    assert all(type(c) is Fraction for c in built.coefficients)
+    assert repr(built) == repr(given)

@@ -12,6 +12,7 @@ in ``EXEMPT`` fails the walk, so a new one cannot skip the contract.
 import inspect
 import time
 import typing
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from secantinv import (
     LineBundleClass,
     QPolynomial,
     SecantInstance,
+    DomainError,
     SecantInvError,
     canonical_twist_table,
     coh_canonical_twist,
@@ -147,3 +149,27 @@ def test_value_or_refusal(name, argument, call, limit):
             pytest.fail(f"{name}({argument}={shown}) raised {type(exc).__name__}: {exc}")
         seconds = time.perf_counter() - start
         assert seconds < TIME_BOUND, f"{name}({argument}={shown}) took {seconds:.2f} s"
+
+
+# Each call that takes a twist and evaluates chi at it, with the twist varied.
+TWIST_CALLS = {
+    "hilbert_function": lambda v: hilbert_function(INST, v),
+    "coh_sym_secant_sheaf": lambda v: coh_sym_secant_sheaf(INST, v, 0),
+    "coh_canonical_twist": lambda v: coh_canonical_twist(INST, v, 0),
+    "sym_secant_table": lambda v: sym_secant_table(INST, v),
+    "canonical_twist_table": lambda v: canonical_twist_table(INST, v),
+}
+
+
+@pytest.mark.parametrize("twist", [Fraction(3, 2), 1.5], ids=["Fraction(3, 2)", "1.5"])
+@pytest.mark.parametrize("name", TWIST_CALLS)
+def test_non_integer_twist_is_a_domain_error(name, twist):
+    """A twist that is not an integer is the caller's error, refused before
+    chi is built or evaluated, not an internal fault of the engine."""
+    import secantinv.secant_core as core
+
+    core._chi.cache_clear()
+    with pytest.raises(DomainError) as refused:
+        TWIST_CALLS[name](twist)
+    assert str(refused.value) == f"twist {twist} must be an integer"
+    assert core._chi.cache_info().misses == 0

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import json
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -714,6 +716,43 @@ class TestSeriesFromNodeValues:
         monkeypatch.setattr(core, "hilbert_function", counted)
         hilbert_series(inst)
         assert twists == [14]
+
+
+def fraction_view_built(poly):
+    """Whether ``poly`` holds its coefficients as ``Fraction`` objects, which
+    it builds only when ``coefficients`` is read."""
+    return "coefficients" in vars(poly)
+
+
+@pytest.mark.usefixtures("cold_engine")
+class TestIntegerPath:
+    """A chi build compares its two routes, and the engine's invariants read
+    chi and the series numerator, in their integer forms: from cold caches,
+    none of them builds the ``Fraction`` coefficients of chi or of Q."""
+
+    @pytest.mark.parametrize("read", [
+        hilbert_polynomial, variety_degree, generator_count,
+        partial(hilbert_function, twist=7), hilbert_series,
+    ], ids=["hilbert_polynomial", "variety_degree", "generator_count", "hilbert_function",
+            "hilbert_series"])
+    def test_engine_reads_leave_the_fraction_views_unbuilt(self, read):
+        inst = SecantInstance(3, 20, 4)
+        read(inst)
+        assert not fraction_view_built(hilbert_polynomial(inst))
+        assert not fraction_view_built(hilbert_series(inst).numerator)
+
+    def test_generator_sweep_leaves_chi_unbuilt(self):
+        from secantinv.cli import run
+
+        out = io.StringIO()
+        argv = ["sweep", "--genus-range", "0:2", "--degree-range", "5:14", "--order-range", "0:3",
+                "--invariant", "generators", "--format", "json"]
+        assert run(argv, stdout=out, stderr=io.StringIO()) == 0
+        cells = json.loads(out.getvalue())["cells"]
+        assert len(cells) > 20
+        for cell in cells:
+            inst = SecantInstance(cell["genus"], cell["degree"], cell["order"])
+            assert not fraction_view_built(hilbert_polynomial(inst)), cell
 
 
 @pytest.mark.usefixtures("cold_engine")
