@@ -43,7 +43,7 @@ from .secant_core import (
     _MAX_ORDER,
     _MAX_TWIST,
     SecantInstance,
-    _at_most,
+    _admit,
     _refuse,
     canonical_h0,
     generator_count,
@@ -375,11 +375,10 @@ def _handle_sweep(args) -> Document:
         _refuse("sweep grid has {} cells, more than the maximum {maximum}",
                 ("sweep grid cell count", requested), maximum=_MAX_SWEEP_CELLS)
     # a cell past a limit is skipped, so the limits every cell shares are checked first
-    _at_most("order", args.order_range[-1], _MAX_ORDER, "maximum order")
+    _admit("order", args.order_range[-1], limit=_MAX_ORDER, limit_name="maximum order")
     if args.invariant == "hilbert":
-        _at_most("twist", args.twist, _MAX_TWIST)
-        if args.twist < 0:
-            _refuse("twist {} must be nonnegative for --invariant hilbert", ("twist", args.twist))
+        _admit("twist", args.twist, 0, _MAX_TWIST,
+               "twist {} must be nonnegative for --invariant hilbert")
     cells = []
     notes = []
     for g in args.genus_range:

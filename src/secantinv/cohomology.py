@@ -24,8 +24,8 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import binomial
-from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _at_most, _integral, _refuse,
-                          hilbert_function, hilbert_polynomial)
+from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _admit, _refuse, hilbert_function,
+                          hilbert_polynomial)
 
 __all__ = [
     "LineBundleClass",
@@ -70,20 +70,20 @@ class LineBundleClass:
 
     def __post_init__(self) -> None:
         g, d = self.genus, self.degree
-        _at_most("genus", g, _MAX_GENUS)
+        _admit("genus", g, limit=_MAX_GENUS)
         for label, value in (("degree", d), ("h1", self.h1), ("h0", self.h0)):
             if abs(value) >= _MAX_BUNDLE_SIZE:
                 raise DomainError(f"{label} has more than 4000 digits")
+            _admit(label, value)
         if d > 2 * g - 2:
             if self.h1 != 0:
                 _refuse("degree {} > 2g-2 forces h1 = 0, got {}", ("degree", d), ("h1", self.h1))
         elif d < 0 and self.h1 != g - 1 - d:
             _refuse("degree {} < 0 forces h1 = {forced}, got {}", ("degree", d), ("h1", self.h1),
                     forced=g - 1 - d)
-        if g < 0:
-            _refuse("genus {} must be nonnegative", ("genus", g))
-        if self.h0 < 0 or self.h1 < 0:
-            _refuse("h0 = {}, h1 = {} must be nonnegative", ("h0", self.h0), ("h1", self.h1))
+        _admit("genus", g, 0)
+        _admit("h0", self.h0, 0, below="h0 = {}, h1 = {h1} must be nonnegative", h1=self.h1)
+        _admit("h1", self.h1, 0, below="h0 = {h0}, h1 = {} must be nonnegative", h0=self.h0)
         if self.h0 - self.h1 != d - g + 1:
             raise DomainError(
                 f"h0 - h1 = {self.h0 - self.h1} violates Riemann-Roch value {d - g + 1}"
@@ -92,6 +92,8 @@ class LineBundleClass:
     @classmethod
     def nonspecial(cls, genus: int, degree: int) -> "LineBundleClass":
         """The class of any bundle with degree > 2g-2 (h1 = 0 is forced)."""
+        _admit("degree", degree)
+        _admit("genus", genus)
         if degree <= 2 * genus - 2:
             _refuse("degree {} is not forced nonspecial for genus {}", ("degree", degree),
                     ("genus", genus))
@@ -111,7 +113,8 @@ class LineBundleClass:
     ) -> "LineBundleClass":
         """Build a class from its degree, requiring h1 only when the degree
         does not force it (the special range 0 <= degree <= 2g-2)."""
-        _at_most("genus", genus, _MAX_GENUS)
+        _admit("genus", genus, limit=_MAX_GENUS)
+        _admit("degree", degree)
         if h1 is None:
             if 0 <= degree <= 2 * genus - 2:
                 _refuse("degree {} lies in the special range 0..{top} for genus {}; "
@@ -141,12 +144,6 @@ def wedge_dim(n: int, j: int) -> int:
 _MAX_POINTS = 1000
 
 
-def _check_points(points: int) -> None:
-    _at_most("points", points, _MAX_POINTS)
-    if points < 1:
-        _refuse("points {} must be positive", ("points", points))
-
-
 # Admission limit: the largest h0 or h1 of a bundle given to the line-bundle
 # and wedge families.  With the largest admitted points a value then has at
 # most about 3,700 digits (line bundle) or 4,030 (wedge, all four factors at
@@ -164,8 +161,9 @@ def _check_sections(**bundles: LineBundleClass) -> None:
 def coh_determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the determinant of the
     tautological sheaf of ``bundle``: wedge^{m-i} h0 times sym^i h1."""
-    _check_points(points)
+    _admit("points", points, 1, _MAX_POINTS)
     _check_sections(L=bundle)
+    _admit("cohomological index", i)
     factor = sym_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
     return factor and wedge_dim(bundle.h0, points - i) * factor
 
@@ -173,8 +171,9 @@ def coh_determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
 def coh_descent_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the invariant descent of
     the box power of ``bundle``: sym^{m-i} h0 times wedge^i h1."""
-    _check_points(points)
+    _admit("points", points, 1, _MAX_POINTS)
     _check_sections(L=bundle)
+    _admit("cohomological index", i)
     factor = wedge_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
     return factor and sym_dim(bundle.h0, points - i) * factor
 
@@ -187,9 +186,8 @@ def coh_sym_secant_sheaf(inst: SecantInstance, twist: int, i: int) -> int:
     twist 0 it is C(g, i) for 0 <= i <= k+1 (cohomology of the structure
     sheaf of the symmetric product).  A twist that is not an integer is refused.
     """
-    _integral("twist", twist)
-    if twist < 0:
-        _refuse("coh_sym_secant_sheaf needs twist >= 0, got {}", ("twist", twist))
+    _admit("twist", twist, 0, below="coh_sym_secant_sheaf needs twist >= 0, got {}")
+    _admit("cohomological index", i)
     g, d, k = inst.genus, inst.degree, inst.order
     if twist == 0:
         return binomial(g, i) if 0 <= i <= k + 1 else 0
@@ -247,9 +245,10 @@ def _wedge_product(points: int, twist: int, bundle: LineBundleClass, twisting: L
                    product: Optional[LineBundleClass]) -> LineBundleClass:
     """The product class of the wedge family, after its checks in this order:
     points, the product class, the sections of L, M and LM, the twist range."""
-    _check_points(points)
+    _admit("points", points, 1, _MAX_POINTS)
     product = _product_class(bundle, twisting, product)
     _check_sections(L=bundle, M=twisting, LM=product)
+    _admit("twist", twist)
     if not 1 <= twist <= points:
         _refuse("twist {} must lie in 1..{points}", ("twist", twist), points=points)
     return product
@@ -284,6 +283,7 @@ def coh_wedge_secant_sheaf(
     No positivity is required of either input bundle.
     """
     prod = _wedge_product(points, twist, bundle, twisting, product)
+    _admit("cohomological index", i)
     if not 0 <= i <= points:
         _refuse("cohomological index {} must lie in 0..{points}", ("cohomological index", i),
                 points=points)
@@ -296,10 +296,8 @@ def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     twist -twist of the order-(k-i) secant variety for i in {0, 1} with
     i <= k, and 0 otherwise.  A twist above 10**6, or not an integer, is
     refused."""
-    _at_most("twist", twist, _MAX_TWIST)
-    _integral("twist", twist)
-    if twist <= 0:
-        _refuse("coh_canonical_twist needs twist > 0, got {}", ("twist", twist))
+    _admit("twist", twist, 1, _MAX_TWIST, "coh_canonical_twist needs twist > 0, got {}")
+    _admit("cohomological index", i)
     g, d, k = inst.genus, inst.degree, inst.order
     if not 0 <= i <= min(1, k):
         return 0
@@ -370,8 +368,7 @@ def line_bundle_table(
 ) -> CohomologyTable:
     """Table of h^i, i = 0..points, for the "N" (determinant) or "T"
     (descent) line-bundle family on the points-th symmetric product."""
-    if points < 1:  # below 0 the map is empty, and no entry refuses it
-        _refuse("points {} must be positive", ("points", points))
+    _admit("points", points, 1)  # below 0 the map is empty, and no entry refuses it
     op = {"N": coh_determinant_line, "T": coh_descent_line}.get(family)
     if op is None:
         raise DomainError(f"unknown line-bundle family {family!r}, expected N or T")

@@ -28,9 +28,11 @@ chi(k+2).  A series that passes both checks is kept beside the rows of its
 emptying the node-table cache (``_node_table.cache_clear()``) empties it
 too; a build that fails a check keeps nothing.  Orders above 200, genera
 above 10**6, degrees above 10**9 and twists above 10**6 are refused, and so
-is a twist that is not an integer.  Every refusal of the engine, the
-cohomology tables, the tangent cones and ``sweep`` that prints an integer it
-was passed formats it through ``_refuse``, which refuses an integer with more
+is any integer argument that is not a whole number.  Every integer argument
+of the engine, the cohomology tables, the tangent cones and ``sweep`` is
+admitted by ``_admit``, which checks its limit, its integrality and its
+lower bound in that order.  Every refusal that prints an integer it was
+passed formats it through ``_refuse``, which refuses an integer with more
 than 4,300 digits, the most Python prints, by name instead.
 
 The twist variable is written t throughout; s is reserved for stratum
@@ -99,19 +101,24 @@ def _refuse(template: str, *values: tuple[str, int], error: type[Exception] = Do
     raise error(template.format(*(value for _, value in values), **fixed))
 
 
-def _integral(label: str, value: int) -> None:
-    """Refuse a ``value`` that is not a whole number, such as 3/2 or 1.5,
-    before anything is evaluated at it."""
+# The message of a value below ``low`` when the caller gives no template.
+_SIGN = {0: "must be nonnegative", 1: "must be positive"}
+
+
+def _admit(label: str, value: int, low: int | None = None, limit: int | None = None,
+           below: str = "", limit_name: str = "maximum", **fixed: object) -> None:
+    """Admit the integer argument ``value``, or refuse it, in this order: above
+    ``limit``, which the message calls ``limit_name``, or too long to print
+    whatever its sign, where there is a limit; not a whole number, such as 3/2
+    or 1.5; below ``low``, by ``below`` if given (its ``{}`` is the value, and
+    its named fields are ``low`` and ``fixed``).  A caller runs it before any
+    other check of ``value``."""
+    if limit is not None and (value > limit or abs(value) >= _MAX_PRINTED):
+        _refuse(f"{label} {{}} exceeds the {limit_name} {limit}", (label, value))
     if value % 1:
         _refuse(f"{label} {{}} must be an integer", (label, value))
-
-
-def _at_most(label: str, value: int, maximum: int, bound: str = "maximum") -> None:
-    """Refuse ``value`` above its admission limit ``maximum``, which the
-    message calls ``bound``, or too long to print whatever its sign; a caller
-    runs it before any other check of ``value``."""
-    if value > maximum or abs(value) >= _MAX_PRINTED:
-        _refuse(f"{label} {{}} exceeds the {bound} {maximum}", (label, value))
+    if low is not None and value < low:
+        _refuse(below or f"{label} {{}} {_SIGN[low]}", (label, value), low=low, **fixed)
 
 
 @dataclass(frozen=True)
@@ -123,17 +130,10 @@ class SecantInstance:
     order: int
 
     def __post_init__(self) -> None:
-        _at_most("genus", self.genus, _MAX_GENUS)
-        if self.genus < 0:
-            _refuse("genus {} must be nonnegative", ("genus", self.genus))
-        _at_most("order", self.order, _MAX_ORDER, "maximum order")
-        if self.order < 0:
-            _refuse("order {} must be nonnegative", ("order", self.order))
-        _at_most("degree", self.degree, _MAX_DEGREE)
-        bound = 2 * self.genus + 2 * self.order + 1
-        if self.degree < bound:
-            _refuse("degree {} violates d >= 2g+2k+1 = {bound}", ("degree", self.degree),
-                    bound=bound)
+        _admit("genus", self.genus, 0, _MAX_GENUS)
+        _admit("order", self.order, 0, _MAX_ORDER, limit_name="maximum order")
+        _admit("degree", self.degree, 2 * self.genus + 2 * self.order + 1, _MAX_DEGREE,
+               "degree {} violates d >= 2g+2k+1 = {low}")
 
     @property
     def ambient_dim(self) -> int:
@@ -196,8 +196,7 @@ class HilbertSeries:
     krull_dim: int
 
     def __post_init__(self) -> None:
-        if self.krull_dim < 1:
-            _refuse("krull_dim {} must be positive", ("krull_dim", self.krull_dim))
+        _admit("krull_dim", self.krull_dim, 1)
         # integer coefficients are read as the ints they are, with no Fraction
         poly = self.numerator
         coefficients = poly.numerators if poly.denominator == 1 else poly.coefficients
@@ -216,17 +215,15 @@ class HilbertSeries:
 
     def degree(self) -> int:
         """Degree of the variety, namely Q(1)."""
-        return int(self.numerator(1))
+        return sum(self.numerator.numerators)
 
     def expand(self, count: int) -> list[int]:
         """First ``count`` Hilbert-function values H(0), ..., H(count-1):
         krull_dim running sums of the numerator's coefficients, each a
         division by (1-t).  A count above 10**4, or work max(count, 1) *
         krull_dim above 2 * 10**5, is refused."""
-        _at_most("count", count, _MAX_EXPAND)
-        if count < 0:
-            _refuse("count {} must be nonnegative", ("count", count))
-        _at_most("expansion work", max(count, 1) * self.krull_dim, _MAX_EXPAND_WORK)
+        _admit("count", count, 0, _MAX_EXPAND)
+        _admit("expansion work", max(count, 1) * self.krull_dim, limit=_MAX_EXPAND_WORK)
         q = self.numerator.numerators  # integers, over denominator 1
         values = [*q[:count], *[0] * (count - len(q))]
         for _ in range(self.krull_dim):
@@ -375,10 +372,7 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     where all higher cohomology of the twist vanishes; a twist above 10**6,
     or not an integer, is refused.
     """
-    _at_most("twist", twist, _MAX_TWIST)
-    _integral("twist", twist)
-    if twist < 0:
-        _refuse("hilbert_function needs twist >= 0, got {}", ("twist", twist))
+    _admit("twist", twist, 0, _MAX_TWIST, "hilbert_function needs twist >= 0, got {}")
     if twist == 0:
         return 1
     value = hilbert_polynomial(inst)(twist)

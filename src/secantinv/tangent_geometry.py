@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import StratumOutOfRange
 from .exactmath import QPolynomial
-from .secant_core import HilbertSeries, SecantInstance, _at_most, _refuse, hilbert_series
+from .secant_core import HilbertSeries, SecantInstance, _admit, _refuse, hilbert_series
 
 __all__ = [
     "SMOOTH_POINT",
@@ -95,6 +95,7 @@ def tangent_cone_at(inst: SecantInstance, stratum: int) -> TangentConeDescriptor
     """Descriptor of the projectivized tangent cone at any point of the given
     stratum; raises :class:`StratumOutOfRange` unless 0 <= stratum <= k."""
     k = inst.order
+    _admit("stratum", stratum)
     if stratum < 0 or stratum > k:
         _refuse("stratum {} outside 0..{k}", ("stratum", stratum), error=StratumOutOfRange, k=k)
     if stratum == k:
@@ -124,9 +125,7 @@ _MAX_VERTEX_COUNT = 10**6
 def cone_over_secant(inst: SecantInstance, vertex_count: int) -> ConeOverSecant:
     """Cone over the secant variety with an (m-1)-plane vertex, m >= 0; the
     case m = 0 is the variety itself."""
-    _at_most("vertex_count", vertex_count, _MAX_VERTEX_COUNT)
-    if vertex_count < 0:
-        _refuse("vertex_count {} must be nonnegative", ("vertex_count", vertex_count))
+    _admit("vertex_count", vertex_count, 0, _MAX_VERTEX_COUNT)
     base = hilbert_series(inst)
     return ConeOverSecant(
         inst,

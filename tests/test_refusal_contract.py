@@ -1,18 +1,22 @@
 """The refusal contract, walked over the public API.
 
-Every public callable that takes an integer, and every public alternate
-constructor, either returns a value or raises a :class:`SecantInvError`
-subclass when one integer argument of a valid call is pushed to +-10**4300,
--1, 0 or one past its admission limit: never ``ValueError`` (a value too
-long to print), ``TypeError`` or ``RecursionError``, and never slowly.  A
-public callable with an integer parameter that is neither walked nor named
-in ``EXEMPT`` fails the walk, so a new one cannot skip the contract.
+Every public callable that takes an integer, every public alternate
+constructor and every public instance method either returns a value or
+raises a :class:`SecantInvError` subclass when one integer argument of a
+valid call is pushed to +-10**4300, -1, 0 or one past its admission limit:
+never ``ValueError`` (a value too long to print), ``TypeError`` or
+``RecursionError``, and never slowly.  The same argument set to a value that
+is not a whole number, ``Fraction(3, 2)`` or ``1.5``, is refused as a
+:class:`DomainError` that names it.  A public callable with an integer
+parameter that is neither walked nor named in ``EXEMPT`` fails the walk, so
+a new one cannot skip the contract.
 """
 
 import inspect
 import time
 import typing
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 
@@ -46,6 +50,7 @@ from secantinv import (
 EXEMPT = {
     "binomial", "binomial_poly", "sym_dim", "wedge_dim", "lagrange_interpolate",
     "finite_difference_numerator", "format_rational", "QPolynomial.constant",
+    "QPolynomial.coefficient", "QPolynomial.divide_by_linear",
     "ConeOverSecant", "NodeValues", "TableEntry", "TangentConeDescriptor",
 }
 
@@ -61,6 +66,8 @@ CALLS = [
     ("SecantInstance", "order", lambda v: SecantInstance(0, 1000, v), 200),
     ("node_values", "twist", lambda v: node_values(INST)[v], 2),
     ("HilbertSeries", "krull_dim", lambda v: HilbertSeries(QPolynomial.constant(1), v), None),
+    ("HilbertSeries.expand", "count",
+     lambda v: HilbertSeries(QPolynomial([1, 1]), 4).expand(v), 10**4),
     ("hilbert_function", "twist", lambda v: hilbert_function(INST, v), 10**6),
     ("LineBundleClass", "genus", lambda v: LineBundleClass(v, 9, 8, 0), 10**6),
     ("LineBundleClass", "degree", lambda v: LineBundleClass(2, v, 8, 0), 10**4000 - 1),
@@ -102,7 +109,8 @@ TIME_BOUND = 1.0
 
 def public_callables():
     """(name, callable) for each callable in ``secantinv.__all__`` except the
-    error classes, and for each public class or static method of a class there."""
+    error classes, and for each public method of a class there: class, static
+    or instance method."""
     for name in secantinv.__all__:
         obj = getattr(secantinv, name)
         if not callable(obj) or inspect.isclass(obj) and issubclass(obj, BaseException):
@@ -110,7 +118,8 @@ def public_callables():
         yield name, obj
         if inspect.isclass(obj):
             for attr, member in vars(obj).items():
-                if isinstance(member, (classmethod, staticmethod)) and not attr.startswith("_"):
+                method = isinstance(member, (classmethod, staticmethod, FunctionType))
+                if method and not attr.startswith("_"):
                     yield f"{name}.{attr}", getattr(obj, attr)
 
 
@@ -173,3 +182,45 @@ def test_non_integer_twist_is_a_domain_error(name, twist):
         TWIST_CALLS[name](twist)
     assert str(refused.value) == f"twist {twist} must be an integer"
     assert core._chi.cache_info().misses == 0
+
+
+# The label a walked argument is refused under, where it is not its name.
+LABELS = {"i": "cohomological index"}
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), 1.5], ids=["Fraction(3, 2)", "1.5"])
+@pytest.mark.parametrize("name, argument, call, limit", CALLS,
+                         ids=[f"{name}-{argument}" for name, argument, *_ in CALLS])
+def test_non_integer_is_refused_by_name(name, argument, call, limit, value):
+    """An integer argument that is not a whole number is refused under the
+    argument's own name and value, not through a check of a value derived
+    from it; node_values, a lookup, raises KeyError."""
+    if name == "node_values":
+        with pytest.raises(KeyError):
+            call(value)
+        return
+    with pytest.raises(DomainError) as refused:
+        call(value)
+    assert str(refused.value) == f"{LABELS.get(argument, argument)} {value} must be an integer"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SecantInstance(0, 1000, Fraction(401, 2)),
+     "order 401/2 exceeds the maximum order 200"),
+    (lambda: SecantInstance(0, 1000, Fraction(-1, 2)), "order -1/2 must be an integer"),
+    (lambda: cone_over_secant(INST, -0.5), "vertex_count -0.5 must be an integer"),
+    (lambda: HilbertSeries(QPolynomial.constant(1), Fraction(1, 2)),
+     "krull_dim 1/2 must be an integer"),
+    (lambda: SecantInstance(2, Fraction(13, 2), 1), "degree 13/2 must be an integer"),
+    (lambda: tangent_cone_at(SecantInstance(0, 5, 2), Fraction(1, 2)),
+     "stratum 1/2 must be an integer"),
+    (lambda: tangent_cone_at(SecantInstance(0, 5, 2), 0.5), "stratum 0.5 must be an integer"),
+], ids=["limit-first", "integer-before-sign", "float-below-zero", "integer-before-positive",
+        "integer-before-bound", "inside-a-range", "float-inside-a-range"])
+def test_limit_then_integer_then_lower_bound(call, message):
+    """The checks of one argument run in order: its limit, its integrality,
+    then its lower bound or range, so a non-integer inside a range that its
+    integer neighbours pass is refused too."""
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message
