@@ -24,8 +24,8 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import binomial
-from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _admit, _refuse, hilbert_function,
-                          hilbert_polynomial)
+from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _admit, _chi, _refuse,
+                          hilbert_function)
 
 __all__ = [
     "LineBundleClass",
@@ -301,7 +301,7 @@ def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     g, d, k = inst.genus, inst.degree, inst.order
     if not 0 <= i <= min(1, k):
         return 0
-    value = -hilbert_polynomial(SecantInstance(g, d, k - i))(-twist)
+    value = -_chi(g, d, k - i)(-twist)
     if value.denominator != 1 or value < 0:
         raise InternalMismatch(
             f"-chi(-{twist}) = {value} is not a nonnegative integer "

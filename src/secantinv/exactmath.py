@@ -8,12 +8,23 @@ denominator D and the integer numerators of its coefficients over D, in
 ascending degree, with no factor common to D and every numerator.  Its
 coefficients as ``Fraction`` objects are built only when read.
 
+A polynomial may also be held in Newton form on integer abscissae
+a_0, a_1, ...: integer coefficients c_r and one nonzero denominator D, with
+value sum_r c_r prod_{i<r} (s*t - a_i) / D for a positive integer s, reduced
+so that D > 0 and no factor is common to D and every c_r.  The two routes of
+a chi build both end in that form on the twists -k..k+1, and two
+polynomials on the same abscissae compare as their reduced Newton forms.
+The degree, the leading coefficient and the value at an integer read the
+Newton form; the monomial form is built once, by one expansion routine, on
+the first read of ``numerators`` or ``denominator``, and is checked against
+the Newton form at two twists outside the abscissae.
+
 Equality, sums and products, evaluation (:meth:`QPolynomial.__call__`) and
 :func:`lagrange_interpolate` run on Python ints: evaluation is Horner's rule
-on the numerators and builds one ``Fraction``, and interpolation, one of the
-two routes of every chi build, runs a divided-difference table that divides
-nothing, each column scaled by the lcm of its gaps, and expands it in
-integers over one denominator.
+on the integer form and builds one ``Fraction``, and interpolation, one of
+the two routes of every chi build, runs a divided-difference table that
+divides nothing, each column scaled by the lcm of its gaps, or by r times
+the step when the abscissae are evenly spaced, and returns its Newton form.
 :func:`finite_difference_numerator` derives a series numerator from values;
 the engine reads its numerator from the node values instead, and ``validate``
 and the tests compare the two.
@@ -32,7 +43,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import DuplicateNode, NonvanishingTail
+from .errors import DuplicateNode, InternalMismatch, NonvanishingTail
 
 # The only numeric carriers in the package.
 Rational = Fraction
@@ -78,6 +89,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _lowest_terms(values: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
+    """``values`` over the nonzero ``denominator`` with the top zeros dropped
+    and one gcd divided out, so that the denominator is positive."""
+    top = len(values)
+    while top and not values[top - 1]:
+        top -= 1
+    kept = values[:top]
+    common = math.gcd(denominator, *kept) * (1 if denominator > 0 else -1)
+    if common != 1:
+        kept = [c // common for c in kept]
+    return tuple(kept), denominator // common
+
+
 class QPolynomial:
     """Univariate polynomial in the twist variable t with exact rational
     coefficients, stored in its canonical integer form.
@@ -86,12 +110,16 @@ class QPolynomial:
     ascending degree, with coefficient j equal to n_j / D, n_m nonzero and
     gcd(D, n_0, ..., n_m) = 1, so that equal polynomials have equal forms.
     The zero polynomial has no numerators, D = 1 and degree -1.  The
-    coefficients as ``Fraction`` objects are built on first read.
-    Instances are immutable and safe to share between threads.
+    coefficients as ``Fraction`` objects are built on first read.  A
+    polynomial built by :meth:`_newton` holds its Newton form and builds the
+    integer form on first read.  Instances are immutable and safe to share
+    between threads.
     """
 
     denominator: int
     numerators: tuple[int, ...]
+    # (s, abscissae, coefficients, D) of a polynomial held in Newton form
+    _newton_form: tuple[int, tuple[int, ...], tuple[int, ...], int] | None = None
 
     def __init__(self, coefficients: Iterable[Fraction] = ()) -> None:
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
@@ -106,15 +134,44 @@ class QPolynomial:
         poly._reduce(numerators, denominator)
         return poly
 
+    @classmethod
+    def _newton(cls, coefficients: Sequence[int], abscissae: Sequence[int], denominator: int,
+                scale: int = 1) -> "QPolynomial":
+        """The polynomial sum_r coefficients[r] prod_{i<r} (scale*t -
+        abscissae[i]) / denominator, for a nonzero ``denominator``, a positive
+        ``scale`` and at least as many abscissae as coefficients, held in
+        that Newton form: reduced by one gcd and given a positive
+        denominator, with no monomial expansion."""
+        poly = cls.__new__(cls)
+        poly.__dict__["_newton_form"] = (scale, tuple(abscissae),
+                                         *_lowest_terms(coefficients, denominator))
+        return poly
+
+    def __getattr__(self, name: str) -> object:
+        """Reached only for an attribute the instance lacks: a polynomial held
+        in Newton form builds its integer form on the first read of either
+        field, and checks it against the Newton form at one twist above the
+        highest abscissa and one below the lowest, where every term counts."""
+        if name not in ("numerators", "denominator") or self._newton_form is None:
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        scale, abscissae, coefficients, denominator = self._newton_form
+        numerators = _newton_to_monomial(coefficients, abscissae)
+        power = 1
+        for j in range(1, len(numerators)):
+            power *= scale
+            numerators[j] *= power
+        monomial = QPolynomial._over(numerators, denominator)
+        high, low = max(abscissae, default=0), min(abscissae, default=0)
+        for twist in (high // scale + 1, low // scale - 1):
+            if monomial(twist) != self(twist):
+                raise InternalMismatch(
+                    f"monomial and Newton forms of a polynomial differ at twist {twist}")
+        self.__dict__.update(denominator=monomial.denominator, numerators=monomial.numerators)
+        return self.__dict__[name]
+
     def _reduce(self, numerators: Sequence[int], denominator: int) -> None:
-        top = len(numerators)
-        while top and not numerators[top - 1]:
-            top -= 1
-        kept = numerators[:top]
-        common = math.gcd(denominator, *kept)
-        if common > 1:
-            kept = [c // common for c in kept]
-        self.__dict__.update(denominator=denominator // common, numerators=tuple(kept))
+        numerators, denominator = _lowest_terms(numerators, denominator)
+        self.__dict__.update(denominator=denominator, numerators=numerators)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -125,6 +182,9 @@ class QPolynomial:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        mine, theirs = self._newton_form, other._newton_form
+        if mine and theirs and mine[:2] == theirs[:2]:  # the same Newton basis
+            return mine[2:] == theirs[2:]
         return self.denominator == other.denominator and self.numerators == other.numerators
 
     def __hash__(self) -> int:
@@ -153,16 +213,21 @@ class QPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.numerators) - 1
+        newton = self._newton_form
+        return len(newton[2] if newton else self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.numerators
+        return self.degree < 0
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.numerators:
+        if self.degree < 0:
             raise ValueError("the zero polynomial has no leading coefficient")
+        newton = self._newton_form
+        if newton:  # prod_{i<r} (s*t - a_i) leads with s^r
+            scale, _, coefficients, denominator = newton
+            return Fraction(coefficients[-1] * scale ** self.degree, denominator)
         return Fraction(self.numerators[-1], self.denominator)
 
     def coefficient(self, power: int) -> Fraction:
@@ -173,7 +238,14 @@ class QPolynomial:
     def __call__(self, point: RationalLike) -> Fraction:
         """Value at ``point``: Horner's rule on the integer numerators, with
         the point p/q homogenized, so that acc = D * q^n * value after the
-        last step."""
+        last step; at an integer, a polynomial held in Newton form is
+        evaluated in that form."""
+        if self._newton_form and type(point) is int:
+            scale, abscissae, coefficients, denominator = self._newton_form
+            acc = 0
+            for r in range(len(coefficients) - 1, -1, -1):
+                acc = acc * (scale * point - abscissae[r]) + coefficients[r]
+            return Fraction(acc, denominator)
         if not self.numerators:
             return Fraction(0)
         x = point if isinstance(point, (int, Fraction)) else Fraction(point)
@@ -293,11 +365,12 @@ def lagrange_interpolate(
     Computed by Newton divided differences, division-free: the abscissae and
     ordinates are scaled to integers u_j and v_j, and column r of the table
     multiplies each difference by lcm_r / (u_i - u_{i-r}), where lcm_r is the
-    lcm of that column's gaps.  Column r then holds M_r times the divided
-    differences of order r, with the running scale M_r = M_{r-1} * lcm_r and
-    M_0 = 1, and every entry is an integer.  The Newton form is expanded in
-    integers with coefficient r scaled by M / M_r, M the last M_r, and the
-    result is built over one denominator, so it reproduces every node
+    lcm of that column's gaps; on evenly spaced abscissae, step h, every gap
+    of the column is r*h, so lcm_r = r*h and the multiplier is 1.  Column r
+    then holds M_r times the divided differences of order r, with the
+    running scale M_r = M_{r-1} * lcm_r and M_0 = 1, and every entry is an
+    integer.  The result is held in Newton form on the u_j, coefficient r
+    scaled by M / M_r over M, M the last M_r, so it reproduces every node
     ordinate with zero error.  Raises :class:`DuplicateNode` if two
     abscissae coincide.
     """
@@ -315,35 +388,44 @@ def lagrange_interpolate(
     n = len(nodes)
     if len(set(us)) != n:  # u_j = u_m exactly when x_j = x_m
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
+    step = us[1] - us[0] if n > 1 else 0
+    if any(b - a != step for a, b in zip(us, us[1:])):
+        step = 0  # not evenly spaced: column r takes the lcm of its gaps
 
     # Divided-difference table, in place: coef[i] ends as M_i * v[u_0, ..., u_i].
     coef = [y.numerator * (y_scale // y.denominator) for y in ys]
-    lcms = []  # lcm_1..lcm_{n-1}
+    lcms = []  # lcm_1..lcm_{n-1}, negative with a negative step
     for order in range(1, n):
+        if step:
+            lcms.append(order * step)
+            coef[order:] = map(operator.sub, coef[order:], coef[order - 1:-1])
+            continue
         gaps = [us[i] - us[i - order] for i in range(order, n)]
         lcm = math.lcm(*gaps)
         lcms.append(lcm)
         for i in range(n - 1, order - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) * (lcm // gaps[i - order])
 
-    # Expand M times the Newton form coef[0] + coef[1](u-u_0)/M_1 + ... into
-    # monomials; scale ends as M / M_0 = M.
-    poly = [coef[n - 1]]
-    scale = 1  # M / M_i
-    for i in range(n - 2, -1, -1):
-        scale *= lcms[i]
-        u = us[i]
-        shifted = [0, *poly]
-        for power, c in enumerate(poly):
-            shifted[power] -= u * c
-        shifted[0] += coef[i] * scale
-        poly = shifted
+    scale = 1  # M / M_r, from r = n-1 down; it ends as M
+    for r in range(n - 1, -1, -1):
+        coef[r] *= scale
+        if r:
+            scale *= lcms[r - 1]
+    return QPolynomial._newton(coef, us, scale * y_scale, x_scale)
 
-    x_power = 1
-    for power in range(1, n):
-        x_power *= x_scale
-        poly[power] *= x_power
-    return QPolynomial._over(poly, scale * y_scale)
+
+def _newton_to_monomial(coefficients: Sequence[int], abscissae: Sequence[int]) -> list[int]:
+    """Ascending monomial coefficients of sum_r c_r prod_{i<r} (u - a_i), by
+    the nest P_r = c_r + (u - a_r) P_{r+1} from the top coefficient down:
+    the one expansion of a Newton form into monomials."""
+    if not coefficients:
+        return []
+    poly = [coefficients[-1]]
+    for r in range(len(coefficients) - 2, -1, -1):
+        a = abscissae[r]
+        poly = [b - a * c for b, c in zip([0, *poly], [*poly, 0])]
+        poly[0] += coefficients[r]
+    return poly
 
 
 def finite_difference_numerator(

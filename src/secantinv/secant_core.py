@@ -15,18 +15,22 @@ sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
 (g, d), shared by every order and grown on demand.  The polynomial is then
 computed twice, by Gregory-Newton forward differences over (2k+1)! and by
 Newton divided differences over the interpolation table's running scale,
-both in integer arithmetic.  Each route is reduced to its canonical integer
-form, one denominator and the integer numerators over it, and the two forms
-must agree exactly.  The degree, the generator count, the Hilbert function
-and the series checks read those integers, so no coefficient of chi or of
-the series numerator becomes a ``Fraction`` unless a caller reads
-``coefficients``.  The Hilbert series numerator is read from the node values
-too, by differences and Stanley's reciprocity; its integer coefficients must
-sum to the degree, and one sum over them, the expansion at twist k+2, to
-chi(k+2).  A series that passes both checks is kept beside the rows of its
-(g, d) node table and returned to every later request of its order, so
-emptying the node-table cache (``_node_table.cache_clear()``) empties it
-too; a build that fails a check keeps nothing.  Orders above 200, genera
+both in integer arithmetic and both ending in chi's Newton form on the node
+twists; the table's abscissae are evenly spaced, so it skips the lcm of each
+column's gaps.  The two routes are compared as reduced Newton coefficients
+and must agree exactly.  The degree, the generator count, the Hilbert
+function, the cohomology tables and the series checks read that form; the
+monomial form is built once, by :func:`hilbert_polynomial` or a first read of
+``numerators``, and is checked against the Newton form at two twists outside
+the nodes.  No coefficient of chi or of the series numerator becomes a
+``Fraction`` unless a caller reads ``coefficients``.  The Hilbert series
+numerator is read from the node values too, by differences and Stanley's
+reciprocity; its integer coefficients must sum to the degree, and one sum
+over them, the expansion at twist k+2, to chi(k+2).  A series that passes
+both checks is kept beside the rows of its (g, d) node table and returned to
+every later request of its order, so emptying the node-table cache
+(``_node_table.cache_clear()``) empties it too; a build that fails a check
+keeps nothing.  Orders above 200, genera
 above 10**6, degrees above 10**9 and twists above 10**6 are refused, and so
 is any integer argument that is not a whole number.  Every integer argument
 of the engine, the cohomology tables, the tangent cones and ``sweep`` is
@@ -92,11 +96,13 @@ def _refuse(template: str, *values: tuple[str, int], error: type[Exception] = Do
             **fixed: object) -> NoReturn:
     """Raise ``error`` with ``template`` filled in: each ``{}`` by the value of
     one (label, value) pair, in order, and each named field by ``fixed``.  A
-    value too long to print is refused first, by its label, as a
-    :class:`DomainError`.  ``fixed`` holds only values the caller derived or
-    read from an admitted instance or bundle."""
+    value too long to print, or a fraction whose numerator or denominator
+    is, is refused first, by its label, as a :class:`DomainError`.  ``fixed``
+    holds only values the caller derived or read from an admitted instance or
+    bundle."""
     for label, value in values:
-        if abs(value) >= _MAX_PRINTED:
+        terms = (value.numerator, value.denominator) if hasattr(value, "denominator") else (value,)
+        if any(abs(term) >= _MAX_PRINTED for term in terms):
             raise DomainError(f"{label} has more than 4000 digits")
     raise error(template.format(*(value for _, value in values), **fixed))
 
@@ -313,9 +319,8 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
 
     On the unit-spaced node twists -k..k+1, chi(t) = sum_{m=0..n} D_m C(t+k, m)
     with n = 2k+1 and D_m the m-th forward difference of the node values at
-    twist -k.  Times n!, the sum nests as S_m = D_m n!/m! + (t+k-m) S_{m+1},
-    from S_{n+1} = 0 down to S_0 = n! chi(t), whose integer coefficients are
-    put over the one denominator n!.
+    twist -k.  C(t+k, m) is prod_{i<m} (t - (i-k)) / m!, so chi is held in
+    Newton form on those twists, coefficient m being D_m n!/m! over n!.
     """
     k = order
     n = 2 * k + 1
@@ -323,30 +328,31 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
     differences = []  # D_0..D_n
     for _ in range(n + 1):
         differences.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    total: list[int] = []  # ascending coefficients of S_m, from m = n down
-    scale = 1  # n!/m!
-    for m in range(n, -1, -1):
-        total = [(k - m) * c + b for c, b in zip([*total, 0], [0, *total])]
-        total[0] += differences[m] * scale
+        row = list(map(operator.sub, row[1:], row[:-1]))
+    scale = 1  # n!/m!, from m = n down
+    for m in range(n, 0, -1):
+        differences[m] *= scale
         scale *= m
-    return QPolynomial._over(total, math.factorial(n))
+    differences[0] *= scale
+    return QPolynomial._newton(differences, range(-k, k + 2), scale)
 
 
 @lru_cache(maxsize=None)
 def _chi(genus: int, degree: int, order: int) -> QPolynomial:
-    """Memoized Hilbert polynomial, computed by both routes and compared."""
+    """Memoized Hilbert polynomial, computed by both routes and compared in
+    their Newton forms on the node twists.  It is returned in that form:
+    its degree, leading coefficient and values at integers read it, and its
+    monomial form is built on first read."""
     closed = _closed_form(genus, degree, order)
     nodes = _node_values(genus, degree, order)
     interpolated = lagrange_interpolate(
         [(index - order, value) for index, value in enumerate(nodes)]
     )
-    if closed != interpolated:
+    if closed != interpolated:  # named, not printed: chi at order 200 prints in about 470 kB
         raise InternalMismatch(
-            f"closed form {closed} and interpolant {interpolated} disagree "
-            f"for (g, d, k) = ({genus}, {degree}, {order})"
+            f"closed form and interpolant disagree for (g, d, k) = ({genus}, {degree}, {order})"
         )
-    if closed.degree != 2 * order + 1 or closed.numerators[-1] <= 0:
+    if closed.degree != 2 * order + 1 or closed.leading_coefficient <= 0:
         raise InternalMismatch(
             f"chi for ({genus}, {degree}, {order}) has degree {closed.degree} "
             f"and leading coefficient {closed.leading_coefficient}"
@@ -362,7 +368,9 @@ def node_values(inst: SecantInstance) -> NodeValues:
 def hilbert_polynomial(inst: SecantInstance) -> QPolynomial:
     """chi(t), the Euler characteristic of the twist-t line bundle, as a
     degree-(2k+1) polynomial with positive leading coefficient."""
-    return _chi(inst.genus, inst.degree, inst.order)
+    chi = _chi(inst.genus, inst.degree, inst.order)
+    chi.numerators  # its monomial form, built and checked here, not at a caller's first read
+    return chi
 
 
 def hilbert_function(inst: SecantInstance, twist: int) -> int:
@@ -375,7 +383,7 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     _admit("twist", twist, 0, _MAX_TWIST, "hilbert_function needs twist >= 0, got {}")
     if twist == 0:
         return 1
-    value = hilbert_polynomial(inst)(twist)
+    value = _chi(inst.genus, inst.degree, inst.order)(twist)
     if value.denominator != 1 or value <= 0:
         raise InternalMismatch(f"chi({twist}) = {value} is not a positive integer")
     return int(value)
@@ -383,11 +391,11 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
 
 def variety_degree(inst: SecantInstance) -> int:
     """(2k+1)! times the leading coefficient of chi."""
-    chi = hilbert_polynomial(inst)
-    scaled = chi.numerators[-1] * math.factorial(inst.variety_dim)
-    value, remainder = divmod(scaled, chi.denominator)
+    lead = _chi(inst.genus, inst.degree, inst.order).leading_coefficient
+    scaled = lead.numerator * math.factorial(inst.variety_dim)
+    value, remainder = divmod(scaled, lead.denominator)
     if remainder or value < 1:
-        value = Fraction(scaled, chi.denominator)
+        value = Fraction(scaled, lead.denominator)
         raise InternalMismatch(f"degree {value} is not a positive integer")
     return value
 

@@ -189,6 +189,33 @@ class TestQPolynomial:
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 8 and all(coefficients == expected for coefficients in seen)
 
+    def test_threads_expanding_one_newton_form_get_one_integer_form(self):
+        # a polynomial held in Newton form builds its integer form on the
+        # first read; eight threads read it at once
+        nodes = [(x, 3 * x**5 - 7 * x + 11) for x in range(-20, 21)]
+        expected = QPolynomial([11, -7, 0, 0, 0, 3])
+        p = lagrange_interpolate(nodes)
+        assert "numerators" not in vars(p)
+        start = threading.Barrier(8)
+        seen = []
+
+        def read():
+            start.wait(timeout=10)
+            seen.append((p.denominator, p.numerators))
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [(1, (11, -7, 0, 0, 0, 3))] * 8 and p == expected
+
 
 class TestRationalFormat:
     def test_integer_renders_bare(self):

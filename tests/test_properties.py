@@ -1,9 +1,9 @@
 """Randomised checks of the engine against the independent oracles, plus
 metamorphic relations between its outputs.  Draws are derandomized, so every
 run checks the same instances; the fixed grids in the other test files stay
-the primary coverage.  The last three tests compare the integer form,
-evaluation and interpolation of :mod:`secantinv.exactmath` with naive
-``Fraction`` versions written here."""
+the primary coverage.  The last four tests compare the integer form,
+evaluation and interpolation of :mod:`secantinv.exactmath`, on any and on
+evenly spaced abscissae, with naive ``Fraction`` versions written here."""
 
 import math
 from fractions import Fraction
@@ -200,6 +200,41 @@ def test_interpolation_matches_naive_fraction_lagrange(points):
     assert poly == QPolynomial(naive_lagrange(points))
     for x, y in points:
         assert naive_horner(poly.coefficients, x) == y
+
+
+@st.composite
+def evenly_spaced_nodes(draw):
+    """Up to 8 nodes at offset + j*step, with a rational offset and a
+    nonzero rational step of either sign; the ordinates are sometimes all
+    zero."""
+    offset = draw(rationals)
+    step = draw(st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool))
+    count = draw(st.integers(1, 8))
+    zeros = st.just([Fraction(0)] * count)
+    ys = draw(st.one_of(zeros, st.lists(rationals, min_size=count, max_size=count)))
+    return [(offset + j * step, y) for j, y in enumerate(ys)]
+
+
+@checked
+@given(evenly_spaced_nodes())
+def test_evenly_spaced_interpolation_matches_naive_fraction_lagrange(points):
+    """On evenly spaced abscissae the table takes r times the step in place
+    of each column's lcm.  The result is held in Newton form: its degree,
+    leading coefficient and integer values read that form, and it equals,
+    and hashes as, its monomial twin."""
+    poly = lagrange_interpolate(points)
+    naive = naive_lagrange(points)
+    twin = QPolynomial(naive)
+    assert "numerators" not in vars(poly)
+    assert poly.degree == twin.degree
+    if twin.degree >= 0:
+        assert poly.leading_coefficient == twin.leading_coefficient
+    for t in range(-3, 4):
+        assert poly(t) == naive_horner(naive, t)
+    assert poly == lagrange_interpolate(points)  # the same Newton basis, compared unexpanded
+    assert "numerators" not in vars(poly)
+    assert hash(poly) == hash(twin) and poly == twin
+    assert poly.denominator > 0 and poly.coefficients == twin.coefficients
 
 
 @st.composite

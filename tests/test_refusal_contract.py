@@ -7,7 +7,8 @@ valid call is pushed to +-10**4300, -1, 0 or one past its admission limit:
 never ``ValueError`` (a value too long to print), ``TypeError`` or
 ``RecursionError``, and never slowly.  The same argument set to a value that
 is not a whole number, ``Fraction(3, 2)`` or ``1.5``, is refused as a
-:class:`DomainError` that names it.  A public callable with an integer
+:class:`DomainError` that names it, and so is a fraction whose numerator or
+denominator has more than 4,300 digits.  A public callable with an integer
 parameter that is neither walked nor named in ``EXEMPT`` fails the walk, so
 a new one cannot skip the contract.
 """
@@ -224,3 +225,25 @@ def test_limit_then_integer_then_lower_bound(call, message):
     with pytest.raises(DomainError) as refused:
         call()
     assert str(refused.value) == message
+
+
+# Fractions whose size prints but whose denominator or numerator does not.
+UNPRINTABLE_TERMS = {"Fraction(1, 10**4300)": Fraction(1, 10**4300),
+                     "Fraction(10**4400, 10**4399 + 1)": Fraction(10**4400, 10**4399 + 1)}
+
+
+@pytest.mark.parametrize("value", UNPRINTABLE_TERMS.values(), ids=UNPRINTABLE_TERMS)
+@pytest.mark.parametrize("name, argument, call, limit", CALLS,
+                         ids=[f"{name}-{argument}" for name, argument, *_ in CALLS])
+def test_fraction_with_unprintable_terms_is_refused_by_name(name, argument, call, limit, value):
+    """A fraction is refused unprinted when its numerator or denominator has
+    more than 4,300 digits, not only when its size does."""
+    with pytest.raises(DomainError) as refused:
+        call(value)
+    assert str(refused.value) == f"{LABELS.get(argument, argument)} has more than 4000 digits"
+
+
+def test_instance_with_an_unprintable_genus_denominator_is_refused():
+    with pytest.raises(DomainError) as refused:
+        SecantInstance(Fraction(1, 10**4300), 9, 1)
+    assert str(refused.value) == "genus has more than 4000 digits"

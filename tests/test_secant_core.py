@@ -755,6 +755,63 @@ class TestIntegerPath:
             assert not fraction_view_built(hilbert_polynomial(inst)), cell
 
 
+def monomial_form_built(poly):
+    """Whether ``poly``, held in Newton form, has built its monomial form."""
+    return "numerators" in vars(poly)
+
+
+@pytest.mark.usefixtures("cold_engine")
+class TestNewtonPath:
+    """chi is built, compared and read in its Newton form on the node twists,
+    and expanded into monomials only when those are read: by
+    ``hilbert_polynomial``, which checks the expansion at two twists."""
+
+    @pytest.mark.parametrize("invariant", ["generators", "degree"])
+    def test_sweep_leaves_chi_unexpanded(self, invariant):
+        import secantinv.secant_core as core
+        from secantinv.cli import run
+
+        out = io.StringIO()
+        argv = ["sweep", "--genus-range", "0:2", "--degree-range", "5:14", "--order-range", "0:3",
+                "--invariant", invariant, "--format", "json"]
+        assert run(argv, stdout=out, stderr=io.StringIO()) == 0
+        cells = json.loads(out.getvalue())["cells"]
+        assert len(cells) > 20
+        for cell in cells:
+            chi = core._chi(cell["genus"], cell["degree"], cell["order"])
+            assert not monomial_form_built(chi), cell
+
+    def test_hilbert_polynomial_returns_the_monomial_form(self):
+        import secantinv.secant_core as core
+
+        inst = SecantInstance(3, 20, 4)
+        variety_degree(inst)
+        assert not monomial_form_built(core._chi(3, 20, 4))
+        chi = hilbert_polynomial(inst)
+        assert chi is core._chi(3, 20, 4) and monomial_form_built(chi)
+
+    def test_corrupted_expansion_fails_hilbert_but_not_degree(self, monkeypatch):
+        import secantinv.exactmath as exactmath
+        from secantinv.cli import run
+
+        real = exactmath._newton_to_monomial
+
+        def corrupted(coefficients, abscissae):
+            poly = real(coefficients, abscissae)
+            poly[1] = -poly[1]
+            return poly
+
+        monkeypatch.setattr(exactmath, "_newton_to_monomial", corrupted)
+        instance = ["--genus", "2", "--degree", "9", "--order", "1"]
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["hilbert", *instance], stdout=out, stderr=err) == 3
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: internal-mismatch: ")
+        out = io.StringIO()
+        assert run(["degree", *instance], stdout=out, stderr=io.StringIO()) == 0
+        assert out.getvalue() == f"{order1_degree(2, 9)}\n"
+
+
 @pytest.mark.usefixtures("cold_engine")
 class TestSeriesMemo:
     """Each (g, d, k) series is built once and kept in its (g, d) node table."""
