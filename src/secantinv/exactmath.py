@@ -9,22 +9,22 @@ ascending degree, with no factor common to D and every numerator.  Its
 coefficients as ``Fraction`` objects are built only when read.
 
 A polynomial may also be held in Newton form on integer abscissae
-a_0, a_1, ...: integer coefficients c_r and one nonzero denominator D, with
+a_0, a_1, ...: integer coefficients c_r and one positive denominator D, with
 value sum_r c_r prod_{i<r} (s*t - a_i) / D for a positive integer s, reduced
-so that D > 0 and no factor is common to D and every c_r.  The two routes of
+so that no factor is common to D and every c_r.  The two routes of
 a chi build both end in that form on the twists -k..k+1, and two
 polynomials on the same abscissae compare as their reduced Newton forms.
 The degree, the leading coefficient and the value at an integer read the
 Newton form; the monomial form is built once, by one expansion routine, on
-the first read of ``numerators`` or ``denominator``, and is checked against
-the Newton form at two twists outside the abscissae.
+the first read of ``numerators`` or ``denominator``, and is certified by
+its inverse, synthetic division back to the Newton coefficients.
 
 Equality, sums and products, evaluation (:meth:`QPolynomial.__call__`) and
 :func:`lagrange_interpolate` run on Python ints: evaluation is Horner's rule
 on the integer form and builds one ``Fraction``, and interpolation, one of
 the two routes of every chi build, runs a divided-difference table that
 divides nothing, each column scaled by the lcm of its gaps, or by r times
-the step when the abscissae are evenly spaced, and returns its Newton form.
+the step when the abscissae increase evenly, and returns its Newton form.
 :func:`finite_difference_numerator` derives a series numerator from values;
 the engine reads its numerator from the node values instead, and ``validate``
 and the tests compare the two.
@@ -41,6 +41,7 @@ import operator
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .errors import DuplicateNode, InternalMismatch, NonvanishingTail
@@ -90,13 +91,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _lowest_terms(values: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
-    """``values`` over the nonzero ``denominator`` with the top zeros dropped
-    and one gcd divided out, so that the denominator is positive."""
+    """``values`` over the positive ``denominator`` with the top zeros
+    dropped and one gcd divided out."""
     top = len(values)
     while top and not values[top - 1]:
         top -= 1
     kept = values[:top]
-    common = math.gcd(denominator, *kept) * (1 if denominator > 0 else -1)
+    common = math.gcd(denominator, *kept)
     if common != 1:
         kept = [c // common for c in kept]
     return tuple(kept), denominator // common
@@ -138,10 +139,9 @@ class QPolynomial:
     def _newton(cls, coefficients: Sequence[int], abscissae: Sequence[int], denominator: int,
                 scale: int = 1) -> "QPolynomial":
         """The polynomial sum_r coefficients[r] prod_{i<r} (scale*t -
-        abscissae[i]) / denominator, for a nonzero ``denominator``, a positive
+        abscissae[i]) / denominator, for a positive ``denominator``, a positive
         ``scale`` and at least as many abscissae as coefficients, held in
-        that Newton form: reduced by one gcd and given a positive
-        denominator, with no monomial expansion."""
+        that Newton form: reduced by one gcd, with no monomial expansion."""
         poly = cls.__new__(cls)
         poly.__dict__["_newton_form"] = (scale, tuple(abscissae),
                                          *_lowest_terms(coefficients, denominator))
@@ -150,22 +150,19 @@ class QPolynomial:
     def __getattr__(self, name: str) -> object:
         """Reached only for an attribute the instance lacks: a polynomial held
         in Newton form builds its integer form on the first read of either
-        field, and checks it against the Newton form at one twist above the
-        highest abscissa and one below the lowest, where every term counts."""
+        field: the one expansion, in u = s*t, certified by its inverse, and
+        then coefficient j times s^j."""
         if name not in ("numerators", "denominator") or self._newton_form is None:
             raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
         scale, abscissae, coefficients, denominator = self._newton_form
         numerators = _newton_to_monomial(coefficients, abscissae)
+        if not _monomial_to_newton_matches(numerators, coefficients, abscissae):
+            raise InternalMismatch("the monomial and Newton forms of a polynomial differ")
         power = 1
         for j in range(1, len(numerators)):
             power *= scale
             numerators[j] *= power
         monomial = QPolynomial._over(numerators, denominator)
-        high, low = max(abscissae, default=0), min(abscissae, default=0)
-        for twist in (high // scale + 1, low // scale - 1):
-            if monomial(twist) != self(twist):
-                raise InternalMismatch(
-                    f"monomial and Newton forms of a polynomial differ at twist {twist}")
         self.__dict__.update(denominator=monomial.denominator, numerators=monomial.numerators)
         return self.__dict__[name]
 
@@ -365,14 +362,14 @@ def lagrange_interpolate(
     Computed by Newton divided differences, division-free: the abscissae and
     ordinates are scaled to integers u_j and v_j, and column r of the table
     multiplies each difference by lcm_r / (u_i - u_{i-r}), where lcm_r is the
-    lcm of that column's gaps; on evenly spaced abscissae, step h, every gap
-    of the column is r*h, so lcm_r = r*h and the multiplier is 1.  Column r
-    then holds M_r times the divided differences of order r, with the
-    running scale M_r = M_{r-1} * lcm_r and M_0 = 1, and every entry is an
-    integer.  The result is held in Newton form on the u_j, coefficient r
-    scaled by M / M_r over M, M the last M_r, so it reproduces every node
-    ordinate with zero error.  Raises :class:`DuplicateNode` if two
-    abscissae coincide.
+    lcm of that column's gaps; on abscissae that increase by a step h, every
+    gap of the column is r*h, so lcm_r = r*h, every multiplier is 1, and the
+    column only subtracts.  Column r then holds M_r times the divided
+    differences of order r, with the running scale M_r = M_{r-1} * lcm_r and
+    M_0 = 1, and every entry is an integer.  The result is held in Newton
+    form on the u_j, coefficient r scaled by M / M_r over M, M the last M_r,
+    so it reproduces every node ordinate with zero error.  Raises
+    :class:`DuplicateNode` if two abscissae coincide.
     """
     if not nodes:
         raise ValueError("lagrange_interpolate requires at least one node")
@@ -389,12 +386,12 @@ def lagrange_interpolate(
     if len(set(us)) != n:  # u_j = u_m exactly when x_j = x_m
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
     step = us[1] - us[0] if n > 1 else 0
-    if any(b - a != step for a, b in zip(us, us[1:])):
-        step = 0  # not evenly spaced: column r takes the lcm of its gaps
+    if step < 0 or any(b - a != step for a, b in zip(us, us[1:])):
+        step = 0  # not increasing evenly: column r takes the lcm of its gaps
 
     # Divided-difference table, in place: coef[i] ends as M_i * v[u_0, ..., u_i].
     coef = [y.numerator * (y_scale // y.denominator) for y in ys]
-    lcms = []  # lcm_1..lcm_{n-1}, negative with a negative step
+    lcms = []  # lcm_1..lcm_{n-1}, each positive
     for order in range(1, n):
         if step:
             lcms.append(order * step)
@@ -426,6 +423,24 @@ def _newton_to_monomial(coefficients: Sequence[int], abscissae: Sequence[int]) -
         poly = [b - a * c for b, c in zip([0, *poly], [*poly, 0])]
         poly[0] += coefficients[r]
     return poly
+
+
+def _monomial_to_newton_matches(monomial: Sequence[int], coefficients: Sequence[int],
+                                abscissae: Sequence[int]) -> bool:
+    """Whether ``monomial``, ascending, is the expansion of the Newton form
+    sum_r c_r prod_{i<r} (u - a_i): synthetic division by u - a_0, u - a_1,
+    ... must leave c_0, c_1, ... as its remainders, and nothing after the
+    last.  The Newton basis is triangular over the monomials, so a
+    polynomial has one set of Newton coefficients, and this certifies an
+    expansion at about the cost of one."""
+    if len(monomial) != len(coefficients):
+        return False
+    quotient = monomial[::-1]
+    for c, a in zip(coefficients, abscissae):
+        quotient = list(accumulate(quotient, lambda acc, b: acc * a + b))
+        if quotient.pop() != c:
+            return False
+    return True
 
 
 def finite_difference_numerator(

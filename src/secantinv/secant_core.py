@@ -16,13 +16,13 @@ sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
 computed twice, by Gregory-Newton forward differences over (2k+1)! and by
 Newton divided differences over the interpolation table's running scale,
 both in integer arithmetic and both ending in chi's Newton form on the node
-twists; the table's abscissae are evenly spaced, so it skips the lcm of each
+twists; the table's abscissae increase by 1, so it skips the lcm of each
 column's gaps.  The two routes are compared as reduced Newton coefficients
 and must agree exactly.  The degree, the generator count, the Hilbert
 function, the cohomology tables and the series checks read that form; the
 monomial form is built once, by :func:`hilbert_polynomial` or a first read of
-``numerators``, and is checked against the Newton form at two twists outside
-the nodes.  No coefficient of chi or of the series numerator becomes a
+``numerators``, and is certified by synthetic division back to the Newton
+coefficients.  No coefficient of chi or of the series numerator becomes a
 ``Fraction`` unless a caller reads ``coefficients``.  The Hilbert series
 numerator is read from the node values too, by differences and Stanley's
 reciprocity; its integer coefficients must sum to the degree, and one sum

@@ -218,14 +218,15 @@ def evenly_spaced_nodes(draw):
 @checked
 @given(evenly_spaced_nodes())
 def test_evenly_spaced_interpolation_matches_naive_fraction_lagrange(points):
-    """On evenly spaced abscissae the table takes r times the step in place
-    of each column's lcm.  The result is held in Newton form: its degree,
-    leading coefficient and integer values read that form, and it equals,
-    and hashes as, its monomial twin."""
+    """On abscissae that increase evenly the table takes r times the step in
+    place of each column's lcm; decreasing ones take the lcm.  Either way
+    the result is held in Newton form over a positive denominator: its
+    degree, leading coefficient and integer values read that form, and it
+    equals, and hashes as, its monomial twin."""
     poly = lagrange_interpolate(points)
     naive = naive_lagrange(points)
     twin = QPolynomial(naive)
-    assert "numerators" not in vars(poly)
+    assert "numerators" not in vars(poly) and poly._newton_form[3] > 0
     assert poly.degree == twin.degree
     if twin.degree >= 0:
         assert poly.leading_coefficient == twin.leading_coefficient

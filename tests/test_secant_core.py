@@ -764,7 +764,7 @@ def monomial_form_built(poly):
 class TestNewtonPath:
     """chi is built, compared and read in its Newton form on the node twists,
     and expanded into monomials only when those are read: by
-    ``hilbert_polynomial``, which checks the expansion at two twists."""
+    ``hilbert_polynomial``, which certifies the expansion by its inverse."""
 
     @pytest.mark.parametrize("invariant", ["generators", "degree"])
     def test_sweep_leaves_chi_unexpanded(self, invariant):
@@ -810,6 +810,29 @@ class TestNewtonPath:
         out = io.StringIO()
         assert run(["degree", *instance], stdout=out, stderr=io.StringIO()) == 0
         assert out.getvalue() == f"{order1_degree(2, 9)}\n"
+
+    def test_expansion_slip_that_vanishes_beside_the_nodes_fails_hilbert(self, monkeypatch):
+        # the slip adds (u - a_max - 1)(u - a_min + 1), which is zero at the
+        # twists just above and just below the nodes, so only a check that
+        # reads every Newton coefficient sees it
+        import secantinv.exactmath as exactmath
+        from secantinv.cli import run
+
+        real = exactmath._newton_to_monomial
+
+        def corrupted(coefficients, abscissae):
+            poly = real(coefficients, abscissae)
+            high, low = max(abscissae) + 1, min(abscissae) - 1
+            for j, c in enumerate((high * low, -(high + low), 1)):
+                poly[j] += c
+            return poly
+
+        monkeypatch.setattr(exactmath, "_newton_to_monomial", corrupted)
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["hilbert", "--genus", "2", "--degree", "9", "--order", "1"],
+                   stdout=out, stderr=err) == 3
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: internal-mismatch: ")
 
 
 @pytest.mark.usefixtures("cold_engine")
