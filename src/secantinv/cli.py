@@ -18,14 +18,11 @@ are those of the top-level parser.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -38,7 +35,7 @@ from .cohomology import (
     wedge_secant_table,
 )
 from .errors import DomainError, SecantInvError, UsageError
-from .exactmath import QPolynomial
+from .exactmath import QPolynomial, _Frozen
 from .secant_core import (
     _MAX_ORDER,
     _MAX_TWIST,
@@ -89,6 +86,8 @@ def _tabular(columns: str, head: Sequence[str], rows) -> str:
 
 
 def _csv(rows) -> str:
+    import csv  # here, so that only a csv document loads it
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -98,19 +97,24 @@ def _lines(lines) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Frozen):
     """A command's result: its JSON payload, the layout that renders the
     payload in the other formats, the lines ``run`` writes to stderr beside
     it, and the exit code it returns."""
 
     payload: dict
     layout: Callable[[dict, str], str]
-    notes: tuple[str, ...] = ()
-    exit_code: int = 0
+    notes: tuple[str, ...]
+    exit_code: int
+
+    def __init__(self, payload: dict, layout: Callable[[dict, str], str],
+                 notes: tuple[str, ...] = (), exit_code: int = 0) -> None:
+        self.__dict__.update(payload=payload, layout=layout, notes=notes, exit_code=exit_code)
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
+            import json  # here, so that only a json document loads it
+
             return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
         return self.layout(self.payload, fmt)
 
@@ -166,8 +170,12 @@ def _flatten_json(prefix: str, value):
     elif isinstance(value, list):
         for index, item in enumerate(value):
             yield from _flatten_json(f"{prefix}[{index}]", item)
+    elif value is None:
+        yield prefix, "null"
+    elif isinstance(value, bool):
+        yield prefix, "true" if value else "false"
     else:
-        yield prefix, json.dumps(value) if value is None or isinstance(value, bool) else str(value)
+        yield prefix, str(value)
 
 
 def _record_layout(payload: dict, fmt: str) -> str:

@@ -19,11 +19,10 @@ All dimensions are exact nonnegative integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
-from .exactmath import binomial
+from .exactmath import _Frozen, binomial
 from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _admit, _chi, _refuse,
                           hilbert_function)
 
@@ -52,8 +51,7 @@ __all__ = [
 _MAX_BUNDLE_SIZE = 10**4000
 
 
-@dataclass(frozen=True)
-class LineBundleClass:
+class LineBundleClass(_Frozen):
     """Cohomological class (genus, degree, h0, h1) of a line bundle on a curve.
 
     Riemann-Roch ties the fields together: h0 - h1 = degree - genus + 1.
@@ -68,26 +66,25 @@ class LineBundleClass:
     h0: int
     h1: int
 
-    def __post_init__(self) -> None:
-        g, d = self.genus, self.degree
+    def __init__(self, genus: int, degree: int, h0: int, h1: int) -> None:
+        g, d = genus, degree
         _admit("genus", g, limit=_MAX_GENUS)
-        for label, value in (("degree", d), ("h1", self.h1), ("h0", self.h0)):
+        for label, value in (("degree", d), ("h1", h1), ("h0", h0)):
             if abs(value) >= _MAX_BUNDLE_SIZE:
                 raise DomainError(f"{label} has more than 4000 digits")
             _admit(label, value)
         if d > 2 * g - 2:
-            if self.h1 != 0:
-                _refuse("degree {} > 2g-2 forces h1 = 0, got {}", ("degree", d), ("h1", self.h1))
-        elif d < 0 and self.h1 != g - 1 - d:
-            _refuse("degree {} < 0 forces h1 = {forced}, got {}", ("degree", d), ("h1", self.h1),
+            if h1 != 0:
+                _refuse("degree {} > 2g-2 forces h1 = 0, got {}", ("degree", d), ("h1", h1))
+        elif d < 0 and h1 != g - 1 - d:
+            _refuse("degree {} < 0 forces h1 = {forced}, got {}", ("degree", d), ("h1", h1),
                     forced=g - 1 - d)
         _admit("genus", g, 0)
-        _admit("h0", self.h0, 0, below="h0 = {}, h1 = {h1} must be nonnegative", h1=self.h1)
-        _admit("h1", self.h1, 0, below="h0 = {h0}, h1 = {} must be nonnegative", h0=self.h0)
-        if self.h0 - self.h1 != d - g + 1:
-            raise DomainError(
-                f"h0 - h1 = {self.h0 - self.h1} violates Riemann-Roch value {d - g + 1}"
-            )
+        _admit("h0", h0, 0, below="h0 = {}, h1 = {h1} must be nonnegative", h1=h1)
+        _admit("h1", h1, 0, below="h0 = {h0}, h1 = {} must be nonnegative", h0=h0)
+        if h0 - h1 != d - g + 1:
+            raise DomainError(f"h0 - h1 = {h0 - h1} violates Riemann-Roch value {d - g + 1}")
+        self.__dict__.update(genus=genus, degree=degree, h0=h0, h1=h1)
 
     @classmethod
     def nonspecial(cls, genus: int, degree: int) -> "LineBundleClass":
@@ -310,8 +307,7 @@ def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(_Frozen):
     """One table cell: cohomological index i, twist (None when the family
     has no twist parameter), and the dimension."""
 
@@ -319,9 +315,11 @@ class TableEntry:
     twist: Optional[int]
     dim: int
 
+    def __init__(self, i: int, twist: Optional[int], dim: int) -> None:
+        self.__dict__.update(i=i, twist=twist, dim=dim)
 
-@dataclass(frozen=True)
-class CohomologyTable:
+
+class CohomologyTable(_Frozen):
     """A family tag, the parameters as supplied, and the dimension entries.
 
     Entries cover the full cohomological range of the family with explicit
@@ -331,6 +329,10 @@ class CohomologyTable:
     family: str
     params: tuple[tuple[str, str], ...]
     entries: tuple[TableEntry, ...]
+
+    def __init__(self, family: str, params: tuple[tuple[str, str], ...],
+                 entries: tuple[TableEntry, ...]) -> None:
+        self.__dict__.update(family=family, params=params, entries=entries)
 
     def to_json_dict(self) -> dict:
         return {

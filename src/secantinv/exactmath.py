@@ -29,6 +29,12 @@ the step when the abscissae increase evenly, and returns its Newton form.
 the engine reads its numerator from the node values instead, and ``validate``
 and the tests compare the two.
 
+:class:`_Frozen` is the base of every value class in the package: its
+subclasses set their fields once, in ``__init__``, and get equality and
+hashing by class and fields, a ``Name(field=value, ...)`` repr, and
+``AttributeError`` on any assignment or deletion, with no ``dataclasses``
+import at start-up.
+
 Serialization contract used across the package: a rational renders as the
 string ``"p/q"`` with q > 0 and gcd(|p|, q) = 1, or plain ``"p"`` when q = 1;
 a polynomial renders as the list of such strings in ascending degree.
@@ -38,7 +44,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import FrozenInstanceError
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
@@ -103,7 +108,44 @@ def _lowest_terms(values: Sequence[int], denominator: int) -> tuple[tuple[int, .
     return tuple(kept), denominator // common
 
 
-class QPolynomial:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its fields as class annotations, in constructor
+    order, and sets them in ``__init__`` through ``self.__dict__``.
+    Instances compare equal and hash alike when their classes and fields
+    are equal, print as ``Name(field=value, ...)``, and refuse to assign or
+    delete any attribute."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)  # the class's own, in order, on 3.10+
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, *self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QPolynomial(_Frozen):
     """Univariate polynomial in the twist variable t with exact rational
     coefficients, stored in its canonical integer form.
 
@@ -169,12 +211,6 @@ class QPolynomial:
     def _reduce(self, numerators: Sequence[int], denominator: int) -> None:
         numerators, denominator = _lowest_terms(numerators, denominator)
         self.__dict__.update(denominator=denominator, numerators=numerators)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -48,14 +48,13 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, NamedTuple, NoReturn
 
 from .errors import DomainError, GeneratorDegreeUnknown, InternalMismatch
-from .exactmath import QPolynomial, binomial, lagrange_interpolate
+from .exactmath import QPolynomial, _Frozen, binomial, lagrange_interpolate
 
 __all__ = [
     "SecantInstance",
@@ -127,19 +126,19 @@ def _admit(label: str, value: int, low: int | None = None, limit: int | None = N
         _refuse(below or f"{label} {{}} {_SIGN[low]}", (label, value), low=low, **fixed)
 
 
-@dataclass(frozen=True)
-class SecantInstance:
+class SecantInstance(_Frozen):
     """(genus, degree, order) = (g, d, k), d >= 2g+2k+1, g <= 10**6, d <= 10**9, k <= 200."""
 
     genus: int
     degree: int
     order: int
 
-    def __post_init__(self) -> None:
-        _admit("genus", self.genus, 0, _MAX_GENUS)
-        _admit("order", self.order, 0, _MAX_ORDER, limit_name="maximum order")
-        _admit("degree", self.degree, 2 * self.genus + 2 * self.order + 1, _MAX_DEGREE,
+    def __init__(self, genus: int, degree: int, order: int) -> None:
+        _admit("genus", genus, 0, _MAX_GENUS)
+        _admit("order", order, 0, _MAX_ORDER, limit_name="maximum order")
+        _admit("degree", degree, 2 * genus + 2 * order + 1, _MAX_DEGREE,
                "degree {} violates d >= 2g+2k+1 = {low}")
+        self.__dict__.update(genus=genus, degree=degree, order=order)
 
     @property
     def ambient_dim(self) -> int:
@@ -163,8 +162,7 @@ class SecantInstance:
         return cls(int(data["genus"]), int(data["degree"]), int(data["order"]))
 
 
-@dataclass(frozen=True)
-class NodeValues:
+class NodeValues(_Frozen):
     """chi values at the 2k+2 interpolation twists -k..k+1.
 
     ``entries[i]`` holds the value at twist i - order.  Every entry is an
@@ -174,6 +172,9 @@ class NodeValues:
 
     order: int
     entries: tuple[int, ...]
+
+    def __init__(self, order: int, entries: tuple[int, ...]) -> None:
+        self.__dict__.update(order=order, entries=entries)
 
     @property
     def twists(self) -> range:
@@ -190,8 +191,7 @@ class NodeValues:
             yield twist, self[twist]
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(_Frozen):
     """Hilbert series numerator Q with H(t) = Q(t)/(1-t)^krull_dim.
 
     Q has nonnegative integer coefficients (Cohen-Macaulayness of the
@@ -201,11 +201,11 @@ class HilbertSeries:
     numerator: QPolynomial
     krull_dim: int
 
-    def __post_init__(self) -> None:
-        _admit("krull_dim", self.krull_dim, 1)
+    def __init__(self, numerator: QPolynomial, krull_dim: int) -> None:
+        _admit("krull_dim", krull_dim, 1)
         # integer coefficients are read as the ints they are, with no Fraction
-        poly = self.numerator
-        coefficients = poly.numerators if poly.denominator == 1 else poly.coefficients
+        coefficients = (numerator.numerators if numerator.denominator == 1
+                        else numerator.coefficients)
         # a coefficient too long to print is refused before a check prints it
         for c in coefficients:
             if abs(c.numerator) >= _MAX_PRINTED or c.denominator >= _MAX_PRINTED:
@@ -218,6 +218,7 @@ class HilbertSeries:
                 raise InternalMismatch(
                     f"series numerator coefficient {c} at power {power} is not a nonnegative integer"
                 )
+        self.__dict__.update(numerator=numerator, krull_dim=krull_dim)
 
     def degree(self) -> int:
         """Degree of the variety, namely Q(1)."""

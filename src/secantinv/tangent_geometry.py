@@ -16,11 +16,10 @@ of the base secant variety, read from the cone's series numerator at 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import StratumOutOfRange
-from .exactmath import QPolynomial
+from .exactmath import QPolynomial, _Frozen
 from .secant_core import HilbertSeries, SecantInstance, _admit, _refuse, hilbert_series
 
 __all__ = [
@@ -36,8 +35,7 @@ __all__ = [
 SMOOTH_POINT = None  # the base of a descriptor at a smooth point (stratum s = k)
 
 
-@dataclass(frozen=True)
-class TangentConeDescriptor:
+class TangentConeDescriptor(_Frozen):
     """Numerical description of the projectivized tangent cone at a point of
     the ``ambient`` secant variety on stratum ``stratum``.
 
@@ -56,6 +54,13 @@ class TangentConeDescriptor:
     base_is_fano: Optional[bool]
     series: HilbertSeries
 
+    def __init__(self, ambient: SecantInstance, stratum: int, base: Optional[SecantInstance],
+                 vertex_proj_dim: int, cone_proj_dim: int, multiplicity: int,
+                 base_is_fano: Optional[bool], series: HilbertSeries) -> None:
+        self.__dict__.update(ambient=ambient, stratum=stratum, base=base,
+                             vertex_proj_dim=vertex_proj_dim, cone_proj_dim=cone_proj_dim,
+                             multiplicity=multiplicity, base_is_fano=base_is_fano, series=series)
+
     @property
     def is_smooth_point(self) -> bool:
         return self.base is None
@@ -73,8 +78,7 @@ class TangentConeDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class ConeOverSecant:
+class ConeOverSecant(_Frozen):
     """A cone over a secant variety with a disjoint linear vertex spanned by
     ``vertex_count`` extra coordinates; the series numerator is that of the
     base, with the Krull dimension raised by ``vertex_count``."""
@@ -82,6 +86,9 @@ class ConeOverSecant:
     inst: SecantInstance
     vertex_count: int
     series: HilbertSeries
+
+    def __init__(self, inst: SecantInstance, vertex_count: int, series: HilbertSeries) -> None:
+        self.__dict__.update(inst=inst, vertex_count=vertex_count, series=series)
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Optional
@@ -29,6 +28,7 @@ from .cohomology import (
 )
 from .exactmath import (
     QPolynomial,
+    _Frozen,
     binomial,
     binomial_poly,
     finite_difference_numerator,
@@ -49,12 +49,14 @@ from .tangent_geometry import cone_over_secant, multiplicity_along_stratum, tang
 __all__ = ["CheckResult", "run_catalogue", "CATALOGUE"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Frozen):
     name: str
     passed: bool
     seconds: float
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, seconds: float, detail: str = "") -> None:
+        self.__dict__.update(name=name, passed=passed, seconds=seconds, detail=detail)
 
 
 def _grid(max_genus: int, max_order: int, span: int) -> Iterator[SecantInstance]:

@@ -27,12 +27,14 @@ def genus0_hilbert_function(d: int, k: int, n: int) -> int:
     minors of the (k+2) x (d-k) Hankel matrix (valid for d >= 2k+1).
 
     The resolution has i-th term of rank C(d-k, k+i+1) * C(k+i, i-1) in
-    degree k+i+1 for i = 1 .. d-2k-1, over the coordinate ring of P^d.
+    degree k+i+1 for i = 1 .. d-2k-1, over the coordinate ring of P^d.  The
+    term of index i contributes C(n-k-i-1+d, d), which is 0 for i >= n-k, so
+    the sum stops there and costs O(n) binomials at any d.
     """
     if n < 0:
         return 0
     total = binomial(n + d, d)
-    for i in range(1, d - 2 * k):
+    for i in range(1, min(d - 2 * k, n - k)):
         total += (-1) ** i * eagon_northcott_rank(d, k, i) * binomial(n - k - i - 1 + d, d)
     return total
 

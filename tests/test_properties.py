@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secantinv import (
@@ -20,6 +20,7 @@ from secantinv import (
     QPolynomial,
     SecantInstance,
     binomial,
+    canonical_h0,
     cone_over_secant,
     finite_difference_numerator,
     generator_count,
@@ -37,6 +38,7 @@ from oracles import (
     genus0_hilbert_function,
     hypersurface_chi,
     order1_chi,
+    order1_degree,
 )
 from test_secant_core import full_depth_node_table, horner_route_numerator
 
@@ -124,6 +126,47 @@ def test_series_numerator_is_nonnegative(inst):
 @given(instances())
 def test_series_numerator_matches_horner_route(inst):
     assert hilbert_series(inst).numerator == horner_route_numerator(inst)
+
+
+@st.composite
+def admitted_instances(draw, genus, order):
+    """(g, d, k) with g and k from ``genus`` and ``order``, and d anywhere in
+    [2g+2k+1, 10**9], the admitted range."""
+    g, k = draw(genus), draw(order)
+    return SecantInstance(g, draw(st.integers(2 * g + 2 * k + 1, 10**9)), k)
+
+
+@settings(checked, max_examples=10)
+@given(admitted_instances(st.just(0), st.integers(0, 200)), st.integers(1, 403))
+@example(SecantInstance(0, 10**9, 200), 403)
+def test_genus0_at_any_admitted_order_and_degree(inst, twist):
+    d, k = inst.degree, inst.order
+    for n in (1, k + 2, 2 * k + 2, min(twist, 2 * k + 3)):
+        assert hilbert_function(inst, n) == genus0_hilbert_function(d, k, n)
+    if d >= 2 * k + 2:
+        assert generator_count(inst) == genus0_generators(d, k)
+
+
+@settings(checked, max_examples=20)
+@given(admitted_instances(st.integers(0, 10**6), st.just(1)))
+@example(SecantInstance(10**6, 10**9, 1))
+def test_order1_at_any_admitted_genus_and_degree(inst):
+    g, d = inst.genus, inst.degree
+    chi = hilbert_polynomial(inst)
+    for m in range(-2, 5):
+        assert chi(m) == order1_chi(g, d, m)
+    assert variety_degree(inst) == order1_degree(g, d)
+
+
+@settings(checked, max_examples=5)
+@given(admitted_instances(st.integers(31, 60), st.integers(31, 60)))
+@example(SecantInstance(60, 10**9, 60))
+def test_structure_above_genus_and_order_30(inst):
+    # the series build checks Q(0) = 1, Q >= 0, Q(1) and the expansion at k+2
+    series = hilbert_series(inst)
+    assert series.numerator(1) == variety_degree(inst)
+    assert canonical_h0(inst) == 1 - hilbert_polynomial(inst)(0)
+    assert node_values(inst).entries == full_depth_node_table(inst.genus, inst.degree, inst.order)
 
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
