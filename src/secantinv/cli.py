@@ -252,17 +252,29 @@ class _Parser(argparse.ArgumentParser):
     """Raises a bad command line as :class:`UsageError`, so that it gets the
     one ``error: usage: <message>`` line instead of argparse's usage block
     on the process's stderr, and ``--help`` as :class:`_HelpRequested`, so
-    that ``run`` writes the text like any document.  Subparsers inherit the
-    class; the top-level parser's ``commands`` maps each command name to its
-    subparser."""
-
-    commands: dict[str, argparse.ArgumentParser]
+    that ``run`` writes the text like any document.  Every subparser is of
+    this class."""
 
     def error(self, message: str):
         raise UsageError(message)
 
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
+
+
+class _TopParser(_Parser):
+    """The top-level parser; ``commands`` maps each command name to its
+    subparser.  A line that starts with ``--`` and goes on is refused with
+    the message argparse gives it on 3.11 to 3.13.0, on every interpreter:
+    the argparse of 3.13.13 drops the ``--`` and runs the command after it."""
+
+    commands: dict[str, _Parser]
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args and args[0] == "--" and len(args) > 1:
+            choices = ", ".join(map(repr, self.commands))
+            self.error(f"argument command: invalid choice: '--' (choose from {choices})")
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> _Parser:
@@ -275,11 +287,11 @@ def build_parser() -> _Parser:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(
+    parser = _TopParser(
         prog="secantinv",
         description="Exact invariants of secant varieties of smooth projective curves.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     parser.commands = sub.choices
 
     for name, help_text in (

@@ -8,23 +8,28 @@ denominator D and the integer numerators of its coefficients over D, in
 ascending degree, with no factor common to D and every numerator.  Its
 coefficients as ``Fraction`` objects are built only when read.
 
-A polynomial may also be held in Newton form on integer abscissae
-a_0, a_1, ...: integer coefficients c_r and one positive denominator D, with
-value sum_r c_r prod_{i<r} (s*t - a_i) / D for a positive integer s, reduced
-so that no factor is common to D and every c_r.  The two routes of
-a chi build both end in that form on the twists -k..k+1, and two
-polynomials on the same abscissae compare as their reduced Newton forms.
-The degree, the leading coefficient and the value at an integer read the
-Newton form; the monomial form is built once, by one expansion routine, on
-the first read of ``numerators`` or ``denominator``, and is certified by
-its inverse, synthetic division back to the Newton coefficients.
+A polynomial may also be held in a lazy form: its forward differences on
+the unit-spaced integers a, a+1, ..., integers D_0..D_n with value
+sum_m D_m C(t - a, m) and D_n nonzero, or its Newton form on other integer
+abscissae a_0, a_1, ...: integer coefficients c_r and one positive
+denominator D, with value sum_r c_r prod_{i<r} (s*t - a_i) / D for a
+positive integer s, reduced so that no factor is common to D and every
+c_r.  Both routes of a chi build end in the first form on the twists
+-k..k+1.  Two polynomials in the same form on the same points compare as
+those integers; the degree, the leading coefficient and the value at an
+integer read the lazy form, a value from the differences as one integer sum.
+The monomial form is built once, by one expansion routine, on the first
+read of ``numerators`` or ``denominator``, and is certified by its inverse,
+synthetic division back to the Newton coefficients.
 
 Equality, sums and products, evaluation (:meth:`QPolynomial.__call__`) and
 :func:`lagrange_interpolate` run on Python ints: evaluation is Horner's rule
-on the integer form and builds one ``Fraction``, and interpolation, one of
-the two routes of every chi build, runs a divided-difference table that
-divides nothing, each column scaled by the lcm of its gaps, or by r times
-the step when the abscissae increase evenly, and returns its Newton form.
+on the integer form and builds one ``Fraction``.  Interpolation, one of the
+two routes of every chi build, runs a divided-difference table that divides
+nothing: on integer nodes at unit steps each column only subtracts and
+leaves the forward differences, and on any other nodes each column is
+scaled by the lcm of its gaps, or by r times the step when the abscissae
+increase evenly, and the table returns its Newton form.
 :func:`finite_difference_numerator` derives a series numerator from values;
 the engine reads its numerator from the node values instead, and ``validate``
 and the tests compare the two.
@@ -95,13 +100,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _lowest_terms(values: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
-    """``values`` over the positive ``denominator`` with the top zeros
-    dropped and one gcd divided out."""
+def _trimmed(values: Sequence[int]) -> tuple[int, ...]:
+    """``values`` with the top zeros dropped."""
     top = len(values)
     while top and not values[top - 1]:
         top -= 1
-    kept = values[:top]
+    return tuple(values[:top])
+
+
+def _lowest_terms(values: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
+    """``values`` over the positive ``denominator`` with the top zeros
+    dropped and one gcd divided out."""
+    kept = _trimmed(values)
     common = math.gcd(denominator, *kept)
     if common != 1:
         kept = [c // common for c in kept]
@@ -154,13 +164,16 @@ class QPolynomial(_Frozen):
     gcd(D, n_0, ..., n_m) = 1, so that equal polynomials have equal forms.
     The zero polynomial has no numerators, D = 1 and degree -1.  The
     coefficients as ``Fraction`` objects are built on first read.  A
-    polynomial built by :meth:`_newton` holds its Newton form and builds the
-    integer form on first read.  Instances are immutable and safe to share
-    between threads.
+    polynomial built by :meth:`_forward` holds its forward differences, and
+    one built by :meth:`_newton` its Newton form; either builds the integer
+    form on first read.  Instances are immutable and safe to share between
+    threads.
     """
 
     denominator: int
     numerators: tuple[int, ...]
+    # (a, (D_0, ..., D_n)) of a polynomial held as its forward differences
+    _differences: tuple[int, tuple[int, ...]] | None = None
     # (s, abscissae, coefficients, D) of a polynomial held in Newton form
     _newton_form: tuple[int, tuple[int, ...], tuple[int, ...], int] | None = None
 
@@ -178,6 +191,14 @@ class QPolynomial(_Frozen):
         return poly
 
     @classmethod
+    def _forward(cls, first: int, differences: Sequence[int]) -> "QPolynomial":
+        """The polynomial sum_m differences[m] C(t - first, m), held as those
+        integers with the top zeros dropped, with no scale and no gcd."""
+        poly = cls.__new__(cls)
+        poly.__dict__["_differences"] = (first, _trimmed(differences))
+        return poly
+
+    @classmethod
     def _newton(cls, coefficients: Sequence[int], abscissae: Sequence[int], denominator: int,
                 scale: int = 1) -> "QPolynomial":
         """The polynomial sum_r coefficients[r] prod_{i<r} (scale*t -
@@ -191,12 +212,25 @@ class QPolynomial(_Frozen):
 
     def __getattr__(self, name: str) -> object:
         """Reached only for an attribute the instance lacks: a polynomial held
-        in Newton form builds its integer form on the first read of either
-        field: the one expansion, in u = s*t, certified by its inverse, and
-        then coefficient j times s^j."""
-        if name not in ("numerators", "denominator") or self._newton_form is None:
+        in a lazy form builds its integer form on the first read of either
+        field.  Forward differences D_0..D_n are first scaled to the Newton
+        form D_m n!/m! over n! on a, a+1, ...; then comes the one expansion,
+        in u = s*t, certified by its inverse, and coefficient j times s^j."""
+        lazy = self._differences or self._newton_form
+        if name not in ("numerators", "denominator") or not lazy:
             raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
-        scale, abscissae, coefficients, denominator = self._newton_form
+        if self._differences:
+            first, coefficients = self._differences
+            coefficients = list(coefficients)
+            denominator = 1  # n!/m!, from m = n down; it ends as n!
+            for m in range(len(coefficients) - 1, 0, -1):
+                coefficients[m] *= denominator
+                denominator *= m
+            if coefficients:
+                coefficients[0] *= denominator
+            scale, abscissae = 1, range(first, first + len(coefficients))
+        else:
+            scale, abscissae, coefficients, denominator = self._newton_form
         numerators = _newton_to_monomial(coefficients, abscissae)
         if not _monomial_to_newton_matches(numerators, coefficients, abscissae):
             raise InternalMismatch("the monomial and Newton forms of a polynomial differ")
@@ -215,6 +249,9 @@ class QPolynomial(_Frozen):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
+        mine, theirs = self._differences, other._differences
+        if mine and theirs and mine[0] == theirs[0]:  # the same first twist
+            return mine[1] == theirs[1]
         mine, theirs = self._newton_form, other._newton_form
         if mine and theirs and mine[:2] == theirs[:2]:  # the same Newton basis
             return mine[2:] == theirs[2:]
@@ -246,6 +283,8 @@ class QPolynomial(_Frozen):
 
     @property
     def degree(self) -> int:
+        if self._differences:
+            return len(self._differences[1]) - 1
         newton = self._newton_form
         return len(newton[2] if newton else self.numerators) - 1
 
@@ -257,6 +296,8 @@ class QPolynomial(_Frozen):
     def leading_coefficient(self) -> Fraction:
         if self.degree < 0:
             raise ValueError("the zero polynomial has no leading coefficient")
+        if self._differences:  # C(t - a, n) leads with 1/n!
+            return Fraction(self._differences[1][-1], math.factorial(self.degree))
         newton = self._newton_form
         if newton:  # prod_{i<r} (s*t - a_i) leads with s^r
             scale, _, coefficients, denominator = newton
@@ -268,11 +309,26 @@ class QPolynomial(_Frozen):
             return Fraction(self.numerators[power], self.denominator)
         return Fraction(0)
 
+    def _at(self, point: int) -> int:
+        """Value at the integer ``point`` of a polynomial held as its forward
+        differences: sum_m D_m C(x, m) with x = point - a, each binomial
+        from the one before by C(x, m+1) = C(x, m) (x - m) / (m+1), a
+        division that is exact for every integer x, negative ones too."""
+        first, differences = self._differences
+        x = point - first
+        value, binomial_m = 0, 1
+        for m, difference in enumerate(differences):
+            value += difference * binomial_m
+            binomial_m = binomial_m * (x - m) // (m + 1)
+        return value
+
     def __call__(self, point: RationalLike) -> Fraction:
         """Value at ``point``: Horner's rule on the integer numerators, with
         the point p/q homogenized, so that acc = D * q^n * value after the
-        last step; at an integer, a polynomial held in Newton form is
+        last step; at an integer, a polynomial held in a lazy form is
         evaluated in that form."""
+        if type(point) is int and self._differences:
+            return Fraction(self._at(point))
         if self._newton_form and type(point) is int:
             scale, abscissae, coefficients, denominator = self._newton_form
             acc = 0
@@ -395,20 +451,31 @@ def lagrange_interpolate(
 ) -> QPolynomial:
     """Unique polynomial of degree <= len(nodes)-1 through the given nodes.
 
-    Computed by Newton divided differences, division-free: the abscissae and
-    ordinates are scaled to integers u_j and v_j, and column r of the table
-    multiplies each difference by lcm_r / (u_i - u_{i-r}), where lcm_r is the
-    lcm of that column's gaps; on abscissae that increase by a step h, every
-    gap of the column is r*h, so lcm_r = r*h, every multiplier is 1, and the
-    column only subtracts.  Column r then holds M_r times the divided
-    differences of order r, with the running scale M_r = M_{r-1} * lcm_r and
-    M_0 = 1, and every entry is an integer.  The result is held in Newton
-    form on the u_j, coefficient r scaled by M / M_r over M, M the last M_r,
-    so it reproduces every node ordinate with zero error.  Raises
-    :class:`DuplicateNode` if two abscissae coincide.
+    Computed by Newton divided differences, division-free.  On ``int`` nodes
+    whose abscissae increase by 1, every column of the table only subtracts,
+    column r ends as the r-th forward difference D_r of the ordinates, and
+    the result is held as D_0..D_{n-1} on the first abscissa.  On any other
+    nodes the abscissae and ordinates are scaled to integers u_j and v_j, and
+    column r of the table multiplies each difference by lcm_r / (u_i -
+    u_{i-r}), where lcm_r is the lcm of that column's gaps; on abscissae that
+    increase by a step h, every gap of the column is r*h, so lcm_r = r*h,
+    every multiplier is 1, and the column only subtracts.  Column r then
+    holds M_r times the divided differences of order r, with the running
+    scale M_r = M_{r-1} * lcm_r and M_0 = 1, and every entry is an integer.
+    The result is held in Newton form on the u_j, coefficient r scaled by
+    M / M_r over M, M the last M_r.  Either way it reproduces every node
+    ordinate with zero error.  Raises :class:`DuplicateNode` if two
+    abscissae coincide.
     """
     if not nodes:
         raise ValueError("lagrange_interpolate requires at least one node")
+    first = nodes[0][0]
+    if all(type(x) is int and type(y) is int and x == first + j
+           for j, (x, y) in enumerate(nodes)):
+        differences = [y for _, y in nodes]
+        for order in range(1, len(differences)):
+            differences[order:] = map(operator.sub, differences[order:], differences[order - 1:-1])
+        return QPolynomial._forward(first, differences)
     # ints and Fractions are read as they are; anything else ("1/2", say) is parsed
     xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x, _ in nodes]
     ys = [y if isinstance(y, (int, Fraction)) else Fraction(y) for _, y in nodes]

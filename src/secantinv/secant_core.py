@@ -13,17 +13,18 @@ negative twists the value forced by the vanishing of the alternating sum
 sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
 (g, d).  The node values are integers, built bottom-up in one table per
 (g, d), shared by every order and grown on demand.  The polynomial is then
-computed twice, by Gregory-Newton forward differences over (2k+1)! and by
-Newton divided differences over the interpolation table's running scale,
-both in integer arithmetic and both ending in chi's Newton form on the node
-twists; the table's abscissae increase by 1, so it skips the lcm of each
-column's gaps.  The two routes are compared as reduced Newton coefficients
-and must agree exactly.  The degree, the generator count, the Hilbert
-function, the cohomology tables and the series checks read that form; the
-monomial form is built once, by :func:`hilbert_polynomial` or a first read of
-``numerators``, and is certified by synthetic division back to the Newton
-coefficients.  No coefficient of chi or of the series numerator becomes a
-``Fraction`` unless a caller reads ``coefficients``.  The Hilbert series
+computed twice, by the Gregory-Newton formula and by the interpolation
+table of Newton divided differences, whose abscissae increase by 1, so each
+of its columns only subtracts.  Both routes run in integer arithmetic, with
+no scale and no gcd, and both end in chi's forward differences D_0..D_{2k+1}
+on the node twists, chi(t) = sum_m D_m C(t+k, m); the two tuples must be
+equal.  The degree is D_{2k+1}; the generator count, the Hilbert function,
+the cohomology tables and the series checks read chi's values as integer
+sums over that tuple.  The monomial form is built once, by
+:func:`hilbert_polynomial` or a first read of ``numerators``, and is
+certified by synthetic division back to the Newton coefficients.  No
+coefficient of chi or of the series numerator becomes a ``Fraction`` unless
+a caller reads ``coefficients``.  The Hilbert series
 numerator is read from the node values too, by differences and Stanley's
 reciprocity; its integer coefficients must sum to the degree, and one sum
 over them, the expansion at twist k+2, to chi(k+2).  A series that passes
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, NamedTuple, NoReturn
@@ -320,30 +320,22 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
 
     On the unit-spaced node twists -k..k+1, chi(t) = sum_{m=0..n} D_m C(t+k, m)
     with n = 2k+1 and D_m the m-th forward difference of the node values at
-    twist -k.  C(t+k, m) is prod_{i<m} (t - (i-k)) / m!, so chi is held in
-    Newton form on those twists, coefficient m being D_m n!/m! over n!.
+    twist -k; chi is held as D_0..D_n.
     """
-    k = order
-    n = 2 * k + 1
     row = _node_values(genus, degree, order)
     differences = []  # D_0..D_n
-    for _ in range(n + 1):
+    for _ in range(2 * order + 2):
         differences.append(row[0])
         row = list(map(operator.sub, row[1:], row[:-1]))
-    scale = 1  # n!/m!, from m = n down
-    for m in range(n, 0, -1):
-        differences[m] *= scale
-        scale *= m
-    differences[0] *= scale
-    return QPolynomial._newton(differences, range(-k, k + 2), scale)
+    return QPolynomial._forward(-order, differences)
 
 
 @lru_cache(maxsize=None)
 def _chi(genus: int, degree: int, order: int) -> QPolynomial:
-    """Memoized Hilbert polynomial, computed by both routes and compared in
-    their Newton forms on the node twists.  It is returned in that form:
-    its degree, leading coefficient and values at integers read it, and its
-    monomial form is built on first read."""
+    """Memoized Hilbert polynomial, computed by both routes and compared as
+    forward differences on the node twists.  It is returned in that form,
+    with D_{2k+1} > 0: its degree, leading coefficient and values at
+    integers read it, and its monomial form is built on first read."""
     closed = _closed_form(genus, degree, order)
     nodes = _node_values(genus, degree, order)
     interpolated = lagrange_interpolate(
@@ -353,7 +345,8 @@ def _chi(genus: int, degree: int, order: int) -> QPolynomial:
         raise InternalMismatch(
             f"closed form and interpolant disagree for (g, d, k) = ({genus}, {degree}, {order})"
         )
-    if closed.degree != 2 * order + 1 or closed.leading_coefficient <= 0:
+    form = closed._differences
+    if not (form and len(form[1]) == 2 * order + 2 and form[1][-1] > 0):
         raise InternalMismatch(
             f"chi for ({genus}, {degree}, {order}) has degree {closed.degree} "
             f"and leading coefficient {closed.leading_coefficient}"
@@ -384,21 +377,16 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     _admit("twist", twist, 0, _MAX_TWIST, "hilbert_function needs twist >= 0, got {}")
     if twist == 0:
         return 1
-    value = _chi(inst.genus, inst.degree, inst.order)(twist)
-    if value.denominator != 1 or value <= 0:
+    value = _chi(inst.genus, inst.degree, inst.order)._at(twist)
+    if value <= 0:
         raise InternalMismatch(f"chi({twist}) = {value} is not a positive integer")
-    return int(value)
+    return value
 
 
 def variety_degree(inst: SecantInstance) -> int:
-    """(2k+1)! times the leading coefficient of chi."""
-    lead = _chi(inst.genus, inst.degree, inst.order).leading_coefficient
-    scaled = lead.numerator * math.factorial(inst.variety_dim)
-    value, remainder = divmod(scaled, lead.denominator)
-    if remainder or value < 1:
-        value = Fraction(scaled, lead.denominator)
-        raise InternalMismatch(f"degree {value} is not a positive integer")
-    return value
+    """(2k+1)! times the leading coefficient of chi: its last forward
+    difference D_{2k+1}, which ``_chi`` checked to be positive."""
+    return _chi(inst.genus, inst.degree, inst.order)._differences[1][-1]
 
 
 def _series_numerator(genus: int, degree: int, order: int) -> list[int]:

@@ -1,9 +1,10 @@
 """Randomised checks of the engine against the independent oracles, plus
 metamorphic relations between its outputs.  Draws are derandomized, so every
 run checks the same instances; the fixed grids in the other test files stay
-the primary coverage.  The last four tests compare the integer form,
+the primary coverage.  Four tests near the end compare the integer form,
 evaluation and interpolation of :mod:`secantinv.exactmath`, on any and on
-evenly spaced abscissae, with naive ``Fraction`` versions written here."""
+evenly spaced abscissae, with naive ``Fraction`` versions written here; the
+last reads chi's forward differences against its certified monomial form."""
 
 import math
 from fractions import Fraction
@@ -313,3 +314,30 @@ def test_integer_form_matches_the_fraction_constructor(form, points):
     assert built.coefficients == given.coefficients == tuple(fractions[:top + 1])
     assert all(type(c) is Fraction for c in built.coefficients)
     assert repr(built) == repr(given)
+
+
+@checked
+@given(st.integers(0, 60), st.integers(0, 60), st.data())
+def test_difference_form_reads_like_its_certified_monomial_form(g, k, data):
+    """chi is held as its forward differences D_0..D_{2k+1} on -k..k+1 and
+    read from them as integers; its monomial form, certified when built,
+    must give the same values, degree and equality."""
+    import secantinv.secant_core as core
+
+    lo = 2 * g + 2 * k + 1
+    d = data.draw(st.one_of(st.integers(lo, lo + 20), st.integers(lo, 10**9)), label="d")
+    far = data.draw(st.integers(1, 10**6), label="far twist")
+    inst = SecantInstance(g, d, k)
+    chi = core._chi(g, d, k)
+    twin = QPolynomial._over(chi.numerators, chi.denominator)
+    assert "_differences" not in vars(twin) and chi._differences[0] == -k
+    assert chi == twin and twin == chi and hash(chi) == hash(twin)
+    assert chi.degree == twin.degree == 2 * k + 1
+    assert chi.leading_coefficient == twin.leading_coefficient
+    assert variety_degree(inst) == twin.leading_coefficient * math.factorial(2 * k + 1)
+    for t in [*range(-k - 3, k + 4), far]:
+        value = twin(t)
+        read = chi(t)
+        assert read == value and type(read) is Fraction
+        if t > 0:
+            assert hilbert_function(inst, t) == value
