@@ -1,10 +1,11 @@
-"""Digests of the command line's bytes over fixed request sets.
+"""Digests of the command line's bytes, and of the engine's values, over
+fixed request sets.
 
-Each set is a fixed sequence of argument lists.  Every request runs through
-the in-process ``secantinv.cli.run``, and the set's digest is the sha256 of
-``repr((argv, exit_code, stdout, stderr))``, encoded as UTF-8, over its
-requests in order.  A change that keeps every byte keeps every digest;
-``DIGESTS`` holds the values of today's engine.  The sets:
+Each command-line set is a fixed sequence of argument lists.  Every request
+runs through the in-process ``secantinv.cli.run``, and the set's digest is
+the sha256 of ``repr((argv, exit_code, stdout, stderr))``, encoded as UTF-8,
+over its requests in order.  A change that keeps every byte keeps every
+digest; ``DIGESTS`` holds the values of today's engine.  The sets:
 
 * ``series``: 30,648 ``series``, ``tangent-cone`` (every stratum) and
   ``cone`` (vertex counts 0..3) requests in all four formats, on g <= 6,
@@ -20,9 +21,13 @@ requests in order.  A change that keeps every byte keeps every digest;
   of ten commands the values -1, 0, 201, 1001, 10**6+1, 10**9+1,
   +-(10**4300 - 1) and +-10**4000, then 30 text sweeps whose ranges end at
   those values.
+* ``engine``: 693 instances, g 0..6, k 0..8, d = 2g+2k+1..2g+2k+11, looped
+  in that order.  Each adds one line to the sha256, in UTF-8: the monomial
+  coefficients of ``hilbert_polynomial``, comma-separated, then ``|``, then
+  the node values, comma-separated, then a newline.
 
-``instances``, ``sweeps`` and ``refusals`` take about 1 s together, and
-``tests/test_request_digests.py`` pins them.
+``instances``, ``sweeps``, ``refusals`` and ``engine`` take about 1 s
+together, and ``tests/test_request_digests.py`` pins them.
 
 Usage, from the repository root::
 
@@ -39,15 +44,20 @@ import io
 import sys
 from typing import Callable, Iterator
 
-from secantinv import cli
+from secantinv import SecantInstance, cli, hilbert_polynomial, node_values
 
 FORMATS = ("text", "json", "csv", "latex")
+
+# A set yields its records in order: the line it adds to the sha256, and
+# whether it counts as succeeded.
+Records = Callable[[], Iterator[tuple[str, bool]]]
 
 DIGESTS = {
     "series": "a9ec80d12ca4643434c52ac17090334fd853a8a43511f207e4b6a78d2733f1b1",
     "instances": "cabadfbe741c5403efd8dd16462ec9c60dd47535942ea93a1df14e6ae830acd3",
     "sweeps": "a1d4474914f699380dd5ef607d3d7603ff7606c04b6c7c24c1ee8eecdd3d09af",
     "refusals": "c9e8b4b4d04c64e0e186fededfac6b4b142615bd3716f44eb905c243b83e62dd",
+    "engine": "c603f12f03582f4284cf60bbcc6eb098a6fd5741e33eedcaae846da04873f8fc",
 }
 
 
@@ -125,24 +135,44 @@ def refusal_requests() -> Iterator[list[str]]:
                    "--invariant", "degree"]
 
 
-SETS: dict[str, Callable[[], Iterator[list[str]]]] = {
-    "series": series_requests,
-    "instances": instance_requests,
-    "sweeps": sweep_requests,
-    "refusals": refusal_requests,
+def engine_records() -> Iterator[tuple[str, bool]]:
+    for g in range(7):
+        for k in range(9):
+            for d in range(2 * g + 2 * k + 1, 2 * g + 2 * k + 12):
+                inst = SecantInstance(g, d, k)
+                yield (",".join(hilbert_polynomial(inst).to_strings()) + "|"
+                       + ",".join(map(str, node_values(inst).entries)) + "\n"), True
+
+
+def _responses(requests: Callable[[], Iterator[list[str]]]) -> Records:
+    """The records of a command-line set: each request's repr line, and
+    whether it exits 0."""
+    def records() -> Iterator[tuple[str, bool]]:
+        for argv in requests():
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.run(argv, stdout=out, stderr=err)
+            yield repr((argv, code, out.getvalue(), err.getvalue())), code == 0
+    return records
+
+
+SETS: dict[str, Records] = {
+    "series": _responses(series_requests),
+    "instances": _responses(instance_requests),
+    "sweeps": _responses(sweep_requests),
+    "refusals": _responses(refusal_requests),
+    "engine": engine_records,
 }
 
 
 def digest(name: str) -> tuple[int, int, str]:
-    """(requests, requests that exit 0, sha256) of the named set."""
+    """(records, records that succeeded, sha256) of the named set: for a
+    command-line set, its requests and those that exit 0."""
     sha = hashlib.sha256()
     count = succeeded = 0
-    for argv in SETS[name]():
-        out, err = io.StringIO(), io.StringIO()
-        code = cli.run(argv, stdout=out, stderr=err)
-        sha.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+    for record, ok in SETS[name]():
+        sha.update(record.encode())
         count += 1
-        succeeded += code == 0
+        succeeded += ok
     return count, succeeded, sha.hexdigest()
 
 

@@ -298,13 +298,13 @@ def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     g, d, k = inst.genus, inst.degree, inst.order
     if not 0 <= i <= min(1, k):
         return 0
-    value = -_chi(g, d, k - i)(-twist)
-    if value.denominator != 1 or value < 0:
+    value = -_chi(g, d, k - i)._at(-twist)
+    if value < 0:
         raise InternalMismatch(
             f"-chi(-{twist}) = {value} is not a nonnegative integer "
             f"for (g, d, k) = ({g}, {d}, {k})"
         )
-    return int(value)
+    return value
 
 
 class TableEntry(_Frozen):

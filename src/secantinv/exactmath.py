@@ -8,28 +8,29 @@ denominator D and the integer numerators of its coefficients over D, in
 ascending degree, with no factor common to D and every numerator.  Its
 coefficients as ``Fraction`` objects are built only when read.
 
-A polynomial may also be held in a lazy form: its forward differences on
+A polynomial has one other form, a lazy one: its forward differences on
 the unit-spaced integers a, a+1, ..., integers D_0..D_n with value
-sum_m D_m C(t - a, m) and D_n nonzero, or its Newton form on other integer
-abscissae a_0, a_1, ...: integer coefficients c_r and one positive
-denominator D, with value sum_r c_r prod_{i<r} (s*t - a_i) / D for a
-positive integer s, reduced so that no factor is common to D and every
-c_r.  Both routes of a chi build end in the first form on the twists
--k..k+1.  Two polynomials in the same form on the same points compare as
-those integers; the degree, the leading coefficient and the value at an
-integer read the lazy form, a value from the differences as one integer sum.
-The monomial form is built once, by one expansion routine, on the first
-read of ``numerators`` or ``denominator``, and is certified by its inverse,
-synthetic division back to the Newton coefficients.
+sum_m D_m C(t - a, m) and D_n nonzero.  Both routes of a chi build end in
+it, on the twists -k..k+1.  Two polynomials held as differences on the same
+first point compare as those integers; the degree, the leading coefficient
+and the value at an integer read the differences, a value as one integer
+sum.  The monomial form is built once, on the first read of ``numerators``
+or ``denominator``.
+
+Every monomial form that comes from Newton coefficients, the scaled
+differences D_m n!/m! over n! or the table of an interpolation on other
+nodes, is built by one routine, :func:`_expanded`: it expands the Newton
+form into monomials and certifies the expansion by its inverse, synthetic
+division back to the Newton coefficients.
 
 Equality, sums and products, evaluation (:meth:`QPolynomial.__call__`) and
 :func:`lagrange_interpolate` run on Python ints: evaluation is Horner's rule
 on the integer form and builds one ``Fraction``.  Interpolation, one of the
 two routes of every chi build, runs a divided-difference table that divides
-nothing: on integer nodes at unit steps each column only subtracts and
-leaves the forward differences, and on any other nodes each column is
-scaled by the lcm of its gaps, or by r times the step when the abscissae
-increase evenly, and the table returns its Newton form.
+nothing.  On integer nodes at unit steps each column only subtracts and
+leaves the forward differences, which are returned as they are.  On any
+other nodes each column is scaled by the lcm of its gaps; then comes the one
+certified expansion, and the result is in monomial form.
 :func:`finite_difference_numerator` derives a series numerator from values;
 the engine reads its numerator from the node values instead, and ``validate``
 and the tests compare the two.
@@ -108,16 +109,6 @@ def _trimmed(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(values[:top])
 
 
-def _lowest_terms(values: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
-    """``values`` over the positive ``denominator`` with the top zeros
-    dropped and one gcd divided out."""
-    kept = _trimmed(values)
-    common = math.gcd(denominator, *kept)
-    if common != 1:
-        kept = [c // common for c in kept]
-    return tuple(kept), denominator // common
-
-
 class _Frozen:
     """Base of the package's immutable value classes.
 
@@ -164,18 +155,15 @@ class QPolynomial(_Frozen):
     gcd(D, n_0, ..., n_m) = 1, so that equal polynomials have equal forms.
     The zero polynomial has no numerators, D = 1 and degree -1.  The
     coefficients as ``Fraction`` objects are built on first read.  A
-    polynomial built by :meth:`_forward` holds its forward differences, and
-    one built by :meth:`_newton` its Newton form; either builds the integer
-    form on first read.  Instances are immutable and safe to share between
-    threads.
+    polynomial built by :meth:`_forward` holds its forward differences
+    instead, and builds the integer form on the first read of either field.
+    Instances are immutable and safe to share between threads.
     """
 
     denominator: int
     numerators: tuple[int, ...]
     # (a, (D_0, ..., D_n)) of a polynomial held as its forward differences
     _differences: tuple[int, tuple[int, ...]] | None = None
-    # (s, abscissae, coefficients, D) of a polynomial held in Newton form
-    _newton_form: tuple[int, tuple[int, ...], tuple[int, ...], int] | None = None
 
     def __init__(self, coefficients: Iterable[Fraction] = ()) -> None:
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
@@ -198,53 +186,34 @@ class QPolynomial(_Frozen):
         poly.__dict__["_differences"] = (first, _trimmed(differences))
         return poly
 
-    @classmethod
-    def _newton(cls, coefficients: Sequence[int], abscissae: Sequence[int], denominator: int,
-                scale: int = 1) -> "QPolynomial":
-        """The polynomial sum_r coefficients[r] prod_{i<r} (scale*t -
-        abscissae[i]) / denominator, for a positive ``denominator``, a positive
-        ``scale`` and at least as many abscissae as coefficients, held in
-        that Newton form: reduced by one gcd, with no monomial expansion."""
-        poly = cls.__new__(cls)
-        poly.__dict__["_newton_form"] = (scale, tuple(abscissae),
-                                         *_lowest_terms(coefficients, denominator))
-        return poly
-
     def __getattr__(self, name: str) -> object:
         """Reached only for an attribute the instance lacks: a polynomial held
-        in a lazy form builds its integer form on the first read of either
-        field.  Forward differences D_0..D_n are first scaled to the Newton
-        form D_m n!/m! over n! on a, a+1, ...; then comes the one expansion,
-        in u = s*t, certified by its inverse, and coefficient j times s^j."""
-        lazy = self._differences or self._newton_form
-        if name not in ("numerators", "denominator") or not lazy:
+        as its forward differences D_0..D_n on a, a+1, ... builds its integer
+        form on the first read of either field.  D_m is scaled to the Newton
+        coefficient D_m n!/m! over n! on those abscissae, and the one
+        certified expansion, :func:`_expanded`, does the rest."""
+        if name not in ("numerators", "denominator") or not self._differences:
             raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
-        if self._differences:
-            first, coefficients = self._differences
-            coefficients = list(coefficients)
-            denominator = 1  # n!/m!, from m = n down; it ends as n!
-            for m in range(len(coefficients) - 1, 0, -1):
-                coefficients[m] *= denominator
-                denominator *= m
-            if coefficients:
-                coefficients[0] *= denominator
-            scale, abscissae = 1, range(first, first + len(coefficients))
-        else:
-            scale, abscissae, coefficients, denominator = self._newton_form
-        numerators = _newton_to_monomial(coefficients, abscissae)
-        if not _monomial_to_newton_matches(numerators, coefficients, abscissae):
-            raise InternalMismatch("the monomial and Newton forms of a polynomial differ")
-        power = 1
-        for j in range(1, len(numerators)):
-            power *= scale
-            numerators[j] *= power
-        monomial = QPolynomial._over(numerators, denominator)
+        first, coefficients = self._differences
+        coefficients = list(coefficients)
+        denominator = 1  # n!/m!, from m = n down; it ends as n!
+        for m in range(len(coefficients) - 1, 0, -1):
+            coefficients[m] *= denominator
+            denominator *= m
+        if coefficients:
+            coefficients[0] *= denominator
+        monomial = _expanded(coefficients, range(first, first + len(coefficients)), denominator)
         self.__dict__.update(denominator=monomial.denominator, numerators=monomial.numerators)
         return self.__dict__[name]
 
     def _reduce(self, numerators: Sequence[int], denominator: int) -> None:
-        numerators, denominator = _lowest_terms(numerators, denominator)
-        self.__dict__.update(denominator=denominator, numerators=numerators)
+        """Set the integer form ``numerators`` over the positive
+        ``denominator``, with the top zeros dropped and one gcd divided out."""
+        numerators = _trimmed(numerators)
+        common = math.gcd(denominator, *numerators)
+        if common != 1:  # most forms are reduced already; skip the pass that divides by 1
+            numerators = tuple(c // common for c in numerators)
+        self.__dict__.update(denominator=denominator // common, numerators=numerators)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -252,9 +221,6 @@ class QPolynomial(_Frozen):
         mine, theirs = self._differences, other._differences
         if mine and theirs and mine[0] == theirs[0]:  # the same first twist
             return mine[1] == theirs[1]
-        mine, theirs = self._newton_form, other._newton_form
-        if mine and theirs and mine[:2] == theirs[:2]:  # the same Newton basis
-            return mine[2:] == theirs[2:]
         return self.denominator == other.denominator and self.numerators == other.numerators
 
     def __hash__(self) -> int:
@@ -285,8 +251,7 @@ class QPolynomial(_Frozen):
     def degree(self) -> int:
         if self._differences:
             return len(self._differences[1]) - 1
-        newton = self._newton_form
-        return len(newton[2] if newton else self.numerators) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -298,10 +263,6 @@ class QPolynomial(_Frozen):
             raise ValueError("the zero polynomial has no leading coefficient")
         if self._differences:  # C(t - a, n) leads with 1/n!
             return Fraction(self._differences[1][-1], math.factorial(self.degree))
-        newton = self._newton_form
-        if newton:  # prod_{i<r} (s*t - a_i) leads with s^r
-            scale, _, coefficients, denominator = newton
-            return Fraction(coefficients[-1] * scale ** self.degree, denominator)
         return Fraction(self.numerators[-1], self.denominator)
 
     def coefficient(self, power: int) -> Fraction:
@@ -325,16 +286,10 @@ class QPolynomial(_Frozen):
     def __call__(self, point: RationalLike) -> Fraction:
         """Value at ``point``: Horner's rule on the integer numerators, with
         the point p/q homogenized, so that acc = D * q^n * value after the
-        last step; at an integer, a polynomial held in a lazy form is
-        evaluated in that form."""
+        last step; at an integer, a polynomial held as its forward differences
+        is evaluated by :meth:`_at`."""
         if type(point) is int and self._differences:
             return Fraction(self._at(point))
-        if self._newton_form and type(point) is int:
-            scale, abscissae, coefficients, denominator = self._newton_form
-            acc = 0
-            for r in range(len(coefficients) - 1, -1, -1):
-                acc = acc * (scale * point - abscissae[r]) + coefficients[r]
-            return Fraction(acc, denominator)
         if not self.numerators:
             return Fraction(0)
         x = point if isinstance(point, (int, Fraction)) else Fraction(point)
@@ -457,15 +412,16 @@ def lagrange_interpolate(
     the result is held as D_0..D_{n-1} on the first abscissa.  On any other
     nodes the abscissae and ordinates are scaled to integers u_j and v_j, and
     column r of the table multiplies each difference by lcm_r / (u_i -
-    u_{i-r}), where lcm_r is the lcm of that column's gaps; on abscissae that
-    increase by a step h, every gap of the column is r*h, so lcm_r = r*h,
-    every multiplier is 1, and the column only subtracts.  Column r then
-    holds M_r times the divided differences of order r, with the running
-    scale M_r = M_{r-1} * lcm_r and M_0 = 1, and every entry is an integer.
-    The result is held in Newton form on the u_j, coefficient r scaled by
-    M / M_r over M, M the last M_r.  Either way it reproduces every node
-    ordinate with zero error.  Raises :class:`DuplicateNode` if two
-    abscissae coincide.
+    u_{i-r}), where lcm_r is the lcm of that column's gaps (on abscissae
+    that increase by a step h, every gap is r*h and every multiplier 1).
+    Column r then holds M_r times the divided differences of order r, with
+    the running scale M_r = M_{r-1} * lcm_r and M_0 = 1, and every entry is
+    an integer.  Coefficient r, scaled by M / M_r over M, M the last M_r, is
+    the Newton coefficient on the u_j, and :func:`_expanded` turns those
+    into the certified monomial form.  Either way the result reproduces
+    every node ordinate with zero error.  Raises :class:`DuplicateNode` if
+    two abscissae coincide, and :class:`InternalMismatch` if the expansion
+    fails its certificate.
     """
     if not nodes:
         raise ValueError("lagrange_interpolate requires at least one node")
@@ -488,18 +444,11 @@ def lagrange_interpolate(
     n = len(nodes)
     if len(set(us)) != n:  # u_j = u_m exactly when x_j = x_m
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
-    step = us[1] - us[0] if n > 1 else 0
-    if step < 0 or any(b - a != step for a, b in zip(us, us[1:])):
-        step = 0  # not increasing evenly: column r takes the lcm of its gaps
 
     # Divided-difference table, in place: coef[i] ends as M_i * v[u_0, ..., u_i].
     coef = [y.numerator * (y_scale // y.denominator) for y in ys]
     lcms = []  # lcm_1..lcm_{n-1}, each positive
     for order in range(1, n):
-        if step:
-            lcms.append(order * step)
-            coef[order:] = map(operator.sub, coef[order:], coef[order - 1:-1])
-            continue
         gaps = [us[i] - us[i - order] for i in range(order, n)]
         lcm = math.lcm(*gaps)
         lcms.append(lcm)
@@ -511,7 +460,25 @@ def lagrange_interpolate(
         coef[r] *= scale
         if r:
             scale *= lcms[r - 1]
-    return QPolynomial._newton(coef, us, scale * y_scale, x_scale)
+    return _expanded(coef, us, scale * y_scale, x_scale)
+
+
+def _expanded(coefficients: Sequence[int], abscissae: Sequence[int], denominator: int,
+              scale: int = 1) -> QPolynomial:
+    """The polynomial sum_r c_r prod_{i<r} (s*t - a_i) / D, for integer
+    Newton coefficients c_r and abscissae a_i, at least as many abscissae as
+    coefficients, a positive D and a positive s, in its integer form: the
+    one expansion into monomials in u = s*t, certified by its inverse, then
+    coefficient j times s^j, reduced by one gcd.  Raises
+    :class:`InternalMismatch` if the certificate fails."""
+    numerators = _newton_to_monomial(coefficients, abscissae)
+    if not _monomial_to_newton_matches(numerators, coefficients, abscissae):
+        raise InternalMismatch("the monomial and Newton forms of a polynomial differ")
+    power = 1
+    for j in range(1, len(numerators)):
+        power *= scale
+        numerators[j] *= power
+    return QPolynomial._over(numerators, denominator)
 
 
 def _newton_to_monomial(coefficients: Sequence[int], abscissae: Sequence[int]) -> list[int]:

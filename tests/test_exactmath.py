@@ -6,6 +6,7 @@ import pytest
 
 from secantinv import (
     DuplicateNode,
+    InternalMismatch,
     NonvanishingTail,
     QPolynomial,
     binomial,
@@ -190,8 +191,8 @@ class TestQPolynomial:
         assert len(seen) == 8 and all(coefficients == expected for coefficients in seen)
 
     def test_threads_expanding_one_newton_form_get_one_integer_form(self):
-        # a polynomial held in Newton form builds its integer form on the
-        # first read; eight threads read it at once
+        # a polynomial held as its forward differences builds its integer
+        # form on the first read; eight threads read it at once
         nodes = [(x, 3 * x**5 - 7 * x + 11) for x in range(-20, 21)]
         expected = QPolynomial([11, -7, 0, 0, 0, 3])
         p = lagrange_interpolate(nodes)
@@ -299,6 +300,27 @@ class TestLagrange:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lagrange_interpolate([])
+
+    @pytest.mark.parametrize("nodes", [
+        [(Fraction(-3, 2), Fraction(7, 5)), (0, -2), (Fraction(1, 3), 11), (4, 0)],
+        [(Fraction(1, 2) + Fraction(2, 3) * j, Fraction(j * j - 3, 5)) for j in range(5)],
+    ], ids=["fraction-nodes", "evenly-spaced-fractions"])
+    def test_general_route_certifies_its_expansion_when_built(self, nodes, monkeypatch):
+        # off the unit-step int front, the table's Newton coefficients are
+        # expanded and certified by the call itself, not at a later read
+        import secantinv.exactmath as exactmath
+
+        real = exactmath._newton_to_monomial
+        assert all(lagrange_interpolate(nodes)(x) == y for x, y in nodes)
+
+        def slipped(coefficients, abscissae):
+            poly = real(coefficients, abscissae)
+            poly[0] += 1
+            return poly
+
+        monkeypatch.setattr(exactmath, "_newton_to_monomial", slipped)
+        with pytest.raises(InternalMismatch):
+            lagrange_interpolate(nodes)
 
 
 class TestFiniteDifferenceNumerator:

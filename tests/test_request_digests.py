@@ -1,6 +1,7 @@
-"""The command line's bytes over the fixed request sets of
-``scripts/request_digests.py``, pinned by digest.  The 30,648-request
-``series`` set takes about 7 s, so it runs from the script only."""
+"""The command line's bytes, and the engine's values, over the fixed
+request sets of ``scripts/request_digests.py``, pinned by digest.  The
+30,648-request ``series`` set takes about 7 s, so it runs from the script
+only."""
 
 import importlib.util
 from pathlib import Path
@@ -22,6 +23,7 @@ def recipe():
     ("instances", 3200, 1840),
     ("sweeps", 147, 147),
     ("refusals", 750, 131),
+    ("engine", 693, 693),
 ])
 def test_request_set_keeps_its_bytes(recipe, name, count, succeeded):
     assert recipe.digest(name) == (count, succeeded, recipe.DIGESTS[name])

@@ -756,14 +756,15 @@ class TestIntegerPath:
 
 
 def monomial_form_built(poly):
-    """Whether ``poly``, held in Newton form, has built its monomial form."""
+    """Whether ``poly``, held as its forward differences, has built its
+    monomial form."""
     return "numerators" in vars(poly)
 
 
 @pytest.mark.usefixtures("cold_engine")
 class TestNewtonPath:
-    """chi is built, compared and read in its Newton form on the node twists,
-    and expanded into monomials only when those are read: by
+    """chi is built, compared and read as its forward differences on the
+    node twists, and expanded into monomials only when those are read: by
     ``hilbert_polynomial``, which certifies the expansion by its inverse."""
 
     @pytest.mark.parametrize("invariant", ["generators", "degree"])
