@@ -25,9 +25,12 @@ digest; ``DIGESTS`` holds the values of today's engine.  The sets:
   in that order.  Each adds one line to the sha256, in UTF-8: the monomial
   coefficients of ``hilbert_polynomial``, comma-separated, then ``|``, then
   the node values, comma-separated, then a newline.
+* ``box``: 16 sweeps over the ROADMAP's reference box, ``--genus-range
+  0:6 --degree-range 1:60 --order-range 0:8``, four invariants (``hilbert``
+  at its default twist 1), each in all four formats; about 0.7 s.
 
-``instances``, ``sweeps``, ``refusals`` and ``engine`` take about 1 s
-together, and ``tests/test_request_digests.py`` pins them.
+``instances``, ``sweeps``, ``refusals``, ``engine`` and ``box`` take about
+2 s together, and ``tests/test_request_digests.py`` pins them.
 
 Usage, from the repository root::
 
@@ -58,6 +61,7 @@ DIGESTS = {
     "sweeps": "a1d4474914f699380dd5ef607d3d7603ff7606c04b6c7c24c1ee8eecdd3d09af",
     "refusals": "c9e8b4b4d04c64e0e186fededfac6b4b142615bd3716f44eb905c243b83e62dd",
     "engine": "c603f12f03582f4284cf60bbcc6eb098a6fd5741e33eedcaae846da04873f8fc",
+    "box": "1d0c82e37504d981e5441bc0ab4caf36a4a027d969a80202b10b54e39a480b8f",
 }
 
 
@@ -105,6 +109,13 @@ def sweep_requests() -> Iterator[list[str]]:
     for twist in ("0", "1", "7"):
         yield ["sweep", "--genus-range", "0:2", "--degree-range", "5:30", "--order-range", "0:6",
                "--invariant", "hilbert", "--twist", twist]
+
+
+def box_requests() -> Iterator[list[str]]:
+    for invariant in ("degree", "generators", "canonical-h0", "hilbert"):
+        for fmt in FORMATS:
+            yield ["sweep", "--genus-range", "0:6", "--degree-range", "1:60", "--order-range", "0:8",
+                   "--invariant", invariant, "--format", fmt]
 
 
 def refusal_requests() -> Iterator[list[str]]:
@@ -161,6 +172,7 @@ SETS: dict[str, Records] = {
     "sweeps": _responses(sweep_requests),
     "refusals": _responses(refusal_requests),
     "engine": engine_records,
+    "box": _responses(box_requests),
 }
 
 

@@ -403,13 +403,19 @@ def _handle_sweep(args) -> Document:
     notes = []
     for g in args.genus_range:
         for d in args.degree_range:
-            for k in args.order_range:
+            # highest order first, so that the (g, d) node table grows in one
+            # pass and every lower order reads its row; emitted ascending
+            block = []
+            for k in reversed(args.order_range):
                 try:
-                    value = invariant(SecantInstance(g, d, k))
+                    block.append((g, d, k, invariant(SecantInstance(g, d, k))))
                 except UsageError as exc:
-                    notes.append(f"skip: genus {g} degree {d} order {k}: {exc}")
-                    continue
-                cells.append((g, d, k, value))
+                    block.append(f"skip: genus {g} degree {d} order {k}: {exc}")
+            for item in reversed(block):
+                if isinstance(item, str):
+                    notes.append(item)
+                else:
+                    cells.append(item)
     if not cells:
         raise DomainError("sweep grid contains no valid instances")
     payload = {

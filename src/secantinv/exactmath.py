@@ -52,7 +52,6 @@ import math
 import operator
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .errors import DuplicateNode, InternalMismatch, NonvanishingTail
@@ -507,9 +506,13 @@ def _monomial_to_newton_matches(monomial: Sequence[int], coefficients: Sequence[
         return False
     quotient = monomial[::-1]
     for c, a in zip(coefficients, abscissae):
-        quotient = list(accumulate(quotient, lambda acc, b: acc * a + b))
-        if quotient.pop() != c:
+        remainder, divided = 0, []
+        for b in quotient:
+            remainder = remainder * a + b
+            divided.append(remainder)
+        if divided.pop() != c:
             return False
+        quotient = divided
     return True
 
 

@@ -276,10 +276,12 @@ def _node_values(genus: int, degree: int, order: int) -> tuple[int, ...]:
     order K asked for so far (at g = 0 no row is extended).  Growth to a
     higher order is one bottom-up pass that builds each missing row and
     deepens each row to that length, so every row a new row reads is already
-    at its final depth; a lower order reads its row.  A row joins the table
-    only once its 2j+2 node values are complete, and a row is deepened only
-    by appending exact values, so an interrupted growth leaves a table that
-    is still consistent."""
+    at its final depth; a lower order reads its row.  Each growth walks every
+    row again and deepens rows built before it, so a caller that reads
+    several orders of one (g, d) asks for the highest first, and the table
+    grows in one pass.  A row joins the table only once its 2j+2 node values
+    are complete, and a row is deepened only by appending exact values, so
+    an interrupted growth leaves a table that is still consistent."""
     g, d, k = genus, degree, order
     with _GROWTH:
         rows = _node_table(g, d).rows
@@ -304,13 +306,21 @@ def _node_values(genus: int, degree: int, order: int) -> tuple[int, ...]:
     return tuple(rows[k][2 * k + 1::-1])
 
 
+@lru_cache(maxsize=_MAX_ORDER + 1)
+def _stencil(j: int) -> tuple[int, ...]:
+    """The weights (-1)^m C(2j+2, m), m = 2j+2 down to 1, of row j's
+    vanishing (2j+2)-th forward difference: a constant of j, shared by every
+    node table, so emptying the engine's caches leaves it."""
+    return tuple((-1) ** m * math.comb(2 * j + 2, m) for m in range(2 * j + 2, 0, -1))
+
+
 def _deepen(row: list[int], j: int, length: int) -> None:
     """Append lower twists to row j until it has ``length`` entries: chi_j
     has degree 2j+1, so its (2j+2)-th forward difference vanishes and each
     value is fixed by the 2j+2 above it."""
     if len(row) >= length:
         return
-    steps = [(-1) ** m * math.comb(2 * j + 2, m) for m in range(2 * j + 2, 0, -1)]
+    steps = _stencil(j)
     while len(row) < length:
         row.append(-sum(map(operator.mul, steps, row[-len(steps):])))
 

@@ -24,6 +24,7 @@ def recipe():
     ("sweeps", 147, 147),
     ("refusals", 750, 131),
     ("engine", 693, 693),
+    ("box", 16, 16),
 ])
 def test_request_set_keeps_its_bytes(recipe, name, count, succeeded):
     assert recipe.digest(name) == (count, succeeded, recipe.DIGESTS[name])

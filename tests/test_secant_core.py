@@ -452,6 +452,38 @@ class TestNodeTableDepth:
             assert lengths == [2 * j + 2 + min(g, highest - j) for j in range(highest + 1)], k
         core._node_table.cache_clear()
 
+    def test_sweep_grows_each_table_in_one_pass(self, monkeypatch, cold_engine):
+        # a sweep asks for the highest order of each (g, d) first, so no row
+        # is deepened by two calls; its skip notes stay in (g, d, k) order
+        import secantinv.secant_core as core
+        from secantinv.cli import run
+
+        deepened = {}  # id(row) -> [row, calls that appended to it]
+        deepen = core._deepen
+
+        def counting(row, j, length):
+            if len(row) < length:
+                deepened.setdefault(id(row), [row, 0])[1] += 1
+            deepen(row, j, length)
+
+        monkeypatch.setattr(core, "_deepen", counting)
+        argv = ["sweep", "--genus-range", "3", "--degree-range", "16:23", "--order-range", "0:8",
+                "--invariant", "degree"]
+        assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert deepened
+        assert all(calls == 1 for _, calls in deepened.values())
+
+        err = io.StringIO()
+        argv = ["sweep", "--genus-range", "1", "--degree-range", "9:10", "--order-range", "0:4",
+                "--invariant", "generators"]
+        assert run(argv, stdout=io.StringIO(), stderr=err) == 0
+        assert err.getvalue().splitlines() == [
+            "skip: genus 1 degree 9 order 3: degree 9 = 2g+2k+1: generators of degree k+2 "
+            "not guaranteed, need d >= 10",
+            "skip: genus 1 degree 9 order 4: degree 9 violates d >= 2g+2k+1 = 11",
+            "skip: genus 1 degree 10 order 4: degree 10 violates d >= 2g+2k+1 = 11",
+        ]
+
 
 class TestHilbertPolynomial:
     def test_riemann_roch_curve_case(self):
