@@ -403,19 +403,13 @@ def _handle_sweep(args) -> Document:
     notes = []
     for g in args.genus_range:
         for d in args.degree_range:
-            # highest order first, so that the (g, d) node table grows in one
-            # pass and every lower order reads its row; emitted ascending
-            block = []
-            for k in reversed(args.order_range):
+            for k in args.order_range:
                 try:
-                    block.append((g, d, k, invariant(SecantInstance(g, d, k))))
+                    value = invariant(SecantInstance(g, d, k))
                 except UsageError as exc:
-                    block.append(f"skip: genus {g} degree {d} order {k}: {exc}")
-            for item in reversed(block):
-                if isinstance(item, str):
-                    notes.append(item)
-                else:
-                    cells.append(item)
+                    notes.append(f"skip: genus {g} degree {d} order {k}: {exc}")
+                    continue
+                cells.append((g, d, k, value))
     if not cells:
         raise DomainError("sweep grid contains no valid instances")
     payload = {

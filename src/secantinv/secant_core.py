@@ -269,60 +269,52 @@ def _node_values(genus: int, degree: int, order: int) -> tuple[int, ...]:
     """Node values of order k at twists -k..k+1, as a tuple indexed by
     twist + k, read from the (g, d) node table after growing it to order k.
 
-    The twists -1..-j of row j come from the rows below it, and the
-    vanishing (2j+2)-th forward difference of chi_j extends it further.  Row
-    j is read only by rows j+1..j+min(g, k-j), at twists no lower than
-    -(j + min(g, k-j)), so it keeps 2j+2+min(g, K-j) entries for the highest
-    order K asked for so far (at g = 0 no row is extended).  Growth to a
-    higher order is one bottom-up pass that builds each missing row and
-    deepens each row to that length, so every row a new row reads is already
-    at its final depth; a lower order reads its row.  Each growth walks every
-    row again and deepens rows built before it, so a caller that reads
-    several orders of one (g, d) asks for the highest first, and the table
-    grows in one pass.  A row joins the table only once its 2j+2 node values
-    are complete, and a row is deepened only by appending exact values, so
-    an interrupted growth leaves a table that is still consistent."""
+    Growth only appends: it builds the missing rows bottom-up, and a row
+    once built is never rebuilt.  The twists -1..-j of row j come from the
+    rows j-i below it, i = 1..min(g, j), and row j-i is first extended to
+    twist -j, one value fixed by its vanishing (2(j-i)+2)-th forward
+    difference, if it does not reach it yet.  So row j keeps
+    2j+2+min(g, K-j) entries for the highest order K asked for so far (at
+    g = 0 no row is extended), every value is computed once, and any order
+    of requests does the same work.  A row joins the table only once its
+    2j+2 node values are complete, and a row is extended only by appending
+    exact values, so an interrupted growth leaves a table that is still
+    consistent."""
     g, d, k = genus, degree, order
     with _GROWTH:
         rows = _node_table(g, d).rows
-        if k >= len(rows):
-            weights = [(-1) ** i * binomial(g, i) for i in range(1, min(g, k) + 1)]
-            for j in range(k + 1):
-                if j == len(rows):
-                    # The positive values C(d-g+t, t) at twists j..1 are the
-                    # first j entries of row j-1, shared rather than rebuilt.
-                    row = [binomial(d - g + j + 1, j + 1), *(rows[j - 1][:j] if j else ()),
-                           1 - binomial(g + j, j + 1)]
-                    # The alternating sum over i = 0..j of (-1)^i C(g,i)
-                    # chi_{j-i} vanishes at twists -1..-j, so the i = 0 term
-                    # is minus the rest; chi_{j-i} at those twists is entries
-                    # j-i+2..2j-i+1 of row j-i.
-                    negative = [0] * j
-                    for i, w in enumerate(weights[:j], 1):
-                        lower = rows[j - i][j - i + 2:2 * j - i + 2]
-                        negative = [v - w * u for v, u in zip(negative, lower)]
-                    rows.append(row + negative)
-                _deepen(rows[j], j, 2 * j + 2 + min(g, k - j))
+        for j in range(len(rows), k + 1):
+            # The positive values C(d-g+t, t) at twists j..1 are the first j
+            # entries of row j-1, shared rather than rebuilt.
+            row = [binomial(d - g + j + 1, j + 1), *(rows[j - 1][:j] if j else ()),
+                   1 - binomial(g + j, j + 1)]
+            # The alternating sum over i = 0..j of (-1)^i C(g,i) chi_{j-i}
+            # vanishes at twists -1..-j, so the i = 0 term is minus the rest;
+            # chi_{j-i} at those twists is entries j-i+2..2j-i+1 of row j-i.
+            negative = [0] * j
+            weight = 1
+            for i in range(1, min(g, j) + 1):
+                weight = -weight * (g - i + 1) // i
+                lower = rows[j - i]
+                if len(lower) < 2 * j - i + 2:
+                    steps = _stencil(j - i)
+                    lower.append(-sum(map(operator.mul, steps, lower[-len(steps):])))
+                negative = [v - weight * u for v, u in zip(negative, lower[j - i + 2:])]
+            rows.append(row + negative)
     return tuple(rows[k][2 * k + 1::-1])
 
 
 @lru_cache(maxsize=_MAX_ORDER + 1)
 def _stencil(j: int) -> tuple[int, ...]:
     """The weights (-1)^m C(2j+2, m), m = 2j+2 down to 1, of row j's
-    vanishing (2j+2)-th forward difference: a constant of j, shared by every
-    node table, so emptying the engine's caches leaves it."""
-    return tuple((-1) ** m * math.comb(2 * j + 2, m) for m in range(2 * j + 2, 0, -1))
-
-
-def _deepen(row: list[int], j: int, length: int) -> None:
-    """Append lower twists to row j until it has ``length`` entries: chi_j
-    has degree 2j+1, so its (2j+2)-th forward difference vanishes and each
-    value is fixed by the 2j+2 above it."""
-    if len(row) >= length:
-        return
-    steps = _stencil(j)
-    while len(row) < length:
-        row.append(-sum(map(operator.mul, steps, row[-len(steps):])))
+    vanishing (2j+2)-th forward difference, each binomial got from the one
+    before by an exact division: a constant of j, shared by every node
+    table, so emptying the engine's caches leaves it."""
+    n = 2 * j + 2
+    weights = [1]
+    for m in range(1, n + 1):
+        weights.append(-weights[-1] * (n - m + 1) // m)
+    return tuple(weights[:0:-1])
 
 
 def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:

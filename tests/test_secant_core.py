@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -452,26 +453,55 @@ class TestNodeTableDepth:
             assert lengths == [2 * j + 2 + min(g, highest - j) for j in range(highest + 1)], k
         core._node_table.cache_clear()
 
-    def test_sweep_grows_each_table_in_one_pass(self, monkeypatch, cold_engine):
-        # a sweep asks for the highest order of each (g, d) first, so no row
-        # is deepened by two calls; its skip notes stay in (g, d, k) order
+    @pytest.fixture
+    def stencil_reads(self, monkeypatch):
+        """The rows j, one per call of ``_stencil(j)``: growth reads row j's
+        stencil once for each value it appends to row j."""
+        import secantinv.secant_core as core
+
+        reads = []
+        stencil = core._stencil
+
+        def counting(j):
+            reads.append(j)
+            return stencil(j)
+
+        monkeypatch.setattr(core, "_stencil", counting)
+        return reads
+
+    @staticmethod
+    def appended(tables):
+        """Row j -> the entries past its 2j+2 node values, over ``tables``."""
+        counts = Counter()
+        for table in tables:
+            for j, row in enumerate(table.rows):
+                counts[j] += len(row) - (2 * j + 2)
+        return +counts
+
+    @pytest.mark.parametrize("ordering", TestSharedNodeTable.ORDERINGS)
+    @pytest.mark.parametrize("g", (0, 1, 3, 7))
+    def test_requests_in_any_order_compute_each_value_once(self, g, ordering, stencil_reads):
+        import secantinv.secant_core as core
+
+        d = 2 * g + 2 * 12 + 3
+        core._node_table.cache_clear()
+        for k in TestSharedNodeTable.ORDERINGS[ordering]:
+            node_values(SecantInstance(g, d, k))
+        assert Counter(stencil_reads) == self.appended([core._node_table(g, d)])
+        core._node_table.cache_clear()
+
+    def test_sweep_computes_each_value_once(self, stencil_reads, cold_engine):
+        # an ascending sweep appends each value once; its skip notes stay in
+        # (g, d, k) order
         import secantinv.secant_core as core
         from secantinv.cli import run
 
-        deepened = {}  # id(row) -> [row, calls that appended to it]
-        deepen = core._deepen
-
-        def counting(row, j, length):
-            if len(row) < length:
-                deepened.setdefault(id(row), [row, 0])[1] += 1
-            deepen(row, j, length)
-
-        monkeypatch.setattr(core, "_deepen", counting)
         argv = ["sweep", "--genus-range", "3", "--degree-range", "16:23", "--order-range", "0:8",
                 "--invariant", "degree"]
         assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
-        assert deepened
-        assert all(calls == 1 for _, calls in deepened.values())
+        assert stencil_reads
+        tables = [core._node_table(3, d) for d in range(16, 24)]  # 16:23 is inclusive
+        assert Counter(stencil_reads) == self.appended(tables)
 
         err = io.StringIO()
         argv = ["sweep", "--genus-range", "1", "--degree-range", "9:10", "--order-range", "0:4",
@@ -483,6 +513,16 @@ class TestNodeTableDepth:
             "skip: genus 1 degree 9 order 4: degree 9 violates d >= 2g+2k+1 = 11",
             "skip: genus 1 degree 10 order 4: degree 10 violates d >= 2g+2k+1 = 11",
         ]
+
+
+class TestStencil:
+    @pytest.mark.parametrize("j", (0, 1, 7, 199, 200))
+    def test_running_product_matches_binomials(self, j):
+        import secantinv.secant_core as core
+
+        core._stencil.cache_clear()
+        assert core._stencil(j) == tuple((-1) ** m * comb(2 * j + 2, m)
+                                         for m in range(2 * j + 2, 0, -1))
 
 
 class TestHilbertPolynomial:
@@ -1052,6 +1092,31 @@ class TestDualRouteGuard:
             core._chi.cache_clear()
             core._node_table.cache_clear()
 
+
+    def test_sweep_names_its_lowest_failing_order(self, monkeypatch, cold_engine):
+        # the orders of a (g, d) block are evaluated ascending, so the first
+        # mismatch a sweep meets is the lowest failing order
+        import secantinv.secant_core as core
+        from secantinv.cli import run
+
+        real_closed_form = core._closed_form
+
+        def skewed(genus, degree, order):
+            closed = real_closed_form(genus, degree, order)
+            return closed + QPolynomial([1]) if order >= 2 else closed
+
+        monkeypatch.setattr(core, "_closed_form", skewed)
+        err = io.StringIO()
+        argv = ["sweep", "--genus-range", "1", "--degree-range", "12", "--order-range", "0:4",
+                "--invariant", "degree"]
+        try:
+            assert run(argv, stdout=io.StringIO(), stderr=err) == 3
+        finally:
+            monkeypatch.undo()
+            core._chi.cache_clear()
+            core._node_table.cache_clear()
+        assert err.getvalue() == ("error: internal-mismatch: closed form and interpolant "
+                                  "disagree for (g, d, k) = (1, 12, 2)\n")
 
     def test_chi_of_the_wrong_degree_is_detected(self, monkeypatch):
         # both routes agree, on a polynomial of degree 2k instead of 2k+1
