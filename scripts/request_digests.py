@@ -21,6 +21,11 @@ digest; ``DIGESTS`` holds the values of today's engine.  The sets:
   of ten commands the values -1, 0, 201, 1001, 10**6+1, 10**9+1,
   +-(10**4300 - 1) and +-10**4000, then 30 text sweeps whose ranges end at
   those values.
+* ``tables``: 1,440 successful ``coh-wedge`` and ``coh-line`` requests in all
+  four formats, on g <= 3 and 1..4 points: ``coh-wedge`` at every twist
+  1..points over five (deg L, deg M) pairs, ``coh-line`` for both families
+  at up to six degrees.  A degree in the special range 0..2g-2 gets
+  ``--h1-of-*`` = max(0, g-1-degree) + 1; any other degree gets none.
 * ``engine``: 693 instances, g 0..6, k 0..8, d = 2g+2k+1..2g+2k+11, looped
   in that order.  Each adds one line to the sha256, in UTF-8: the monomial
   coefficients of ``hilbert_polynomial``, comma-separated, then ``|``, then
@@ -29,8 +34,8 @@ digest; ``DIGESTS`` holds the values of today's engine.  The sets:
   0:6 --degree-range 1:60 --order-range 0:8``, four invariants (``hilbert``
   at its default twist 1), each in all four formats; about 0.7 s.
 
-``instances``, ``sweeps``, ``refusals``, ``engine`` and ``box`` take about
-2 s together, and ``tests/test_request_digests.py`` pins them.
+``instances``, ``sweeps``, ``refusals``, ``tables``, ``engine`` and ``box``
+take about 2 s together, and ``tests/test_request_digests.py`` pins them.
 
 Usage, from the repository root::
 
@@ -60,6 +65,7 @@ DIGESTS = {
     "instances": "cabadfbe741c5403efd8dd16462ec9c60dd47535942ea93a1df14e6ae830acd3",
     "sweeps": "a1d4474914f699380dd5ef607d3d7603ff7606c04b6c7c24c1ee8eecdd3d09af",
     "refusals": "c9e8b4b4d04c64e0e186fededfac6b4b142615bd3716f44eb905c243b83e62dd",
+    "tables": "d475d841187195fdd54260452205bda7be4191bb2ebe20f354ee24b897c15934",
     "engine": "c603f12f03582f4284cf60bbcc6eb098a6fd5741e33eedcaae846da04873f8fc",
     "box": "1d0c82e37504d981e5441bc0ab4caf36a4a027d969a80202b10b54e39a480b8f",
 }
@@ -146,6 +152,34 @@ def refusal_requests() -> Iterator[list[str]]:
                    "--invariant", "degree"]
 
 
+def _h1(option: str, genus: int, degree: int) -> list[str]:
+    """``[option, h1]`` for a degree in the special range 0..2g-2, and
+    nothing for any other degree, which forces its h1."""
+    if 0 <= degree <= 2 * genus - 2:
+        return [option, str(max(0, genus - 1 - degree) + 1)]
+    return []
+
+
+def table_requests() -> Iterator[list[str]]:
+    for g in range(4):
+        for points in range(1, 5):
+            for deg_l, deg_m in ((2 * g + 1, 2 * g - 1), (2 * g + 2, -1), (2 * g - 1, 0), (0, 0),
+                                 (2 * g - 2, 2 * g - 2)):
+                bundles = ["--degree-of-L", str(deg_l), *_h1("--h1-of-L", g, deg_l),
+                           "--degree-of-M", str(deg_m), *_h1("--h1-of-M", g, deg_m),
+                           *_h1("--h1-of-LM", g, deg_l + deg_m)]
+                for twist in range(1, points + 1):
+                    for fmt in FORMATS:
+                        yield ["coh-wedge", "--genus", str(g), "--points", str(points),
+                               "--twist", str(twist), *bundles, "--format", fmt]
+            for family in ("N", "T"):
+                for degree in dict.fromkeys((-1, 0, g - 1, 2 * g - 2, 2 * g - 1, 2 * g + 2)):
+                    for fmt in FORMATS:
+                        yield ["coh-line", "--family", family, "--points", str(points),
+                               "--genus", str(g), "--degree", str(degree),
+                               *_h1("--h1-of-L", g, degree), "--format", fmt]
+
+
 def engine_records() -> Iterator[tuple[str, bool]]:
     for g in range(7):
         for k in range(9):
@@ -171,6 +205,7 @@ SETS: dict[str, Records] = {
     "instances": _responses(instance_requests),
     "sweeps": _responses(sweep_requests),
     "refusals": _responses(refusal_requests),
+    "tables": _responses(table_requests),
     "engine": engine_records,
     "box": _responses(box_requests),
 }

@@ -23,7 +23,6 @@ import io
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, TextIO
 
 from .cohomology import (
@@ -35,7 +34,7 @@ from .cohomology import (
     wedge_secant_table,
 )
 from .errors import DomainError, SecantInvError, UsageError
-from .exactmath import QPolynomial, _Frozen
+from .exactmath import _Frozen, _spell
 from .secant_core import (
     _MAX_ORDER,
     _MAX_TWIST,
@@ -56,21 +55,22 @@ FORMATS = ("text", "json", "csv", "latex")
 _MAX_SWEEP_CELLS = 10_000
 
 
-def latex_rational(value: Fraction) -> str:
-    """A nonnegative rational in LaTeX."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"\\frac{{{value.numerator}}}{{{value.denominator}}}"
+def latex_rational(magnitude: str) -> str:
+    """A nonnegative rational, given as its "p/q" or "p" string, in LaTeX."""
+    numerator, slash, denominator = magnitude.partition("/")
+    return f"\\frac{{{numerator}}}{{{denominator}}}" if slash else magnitude
 
 
-def latex_polynomial(poly: QPolynomial) -> str:
-    return poly.spell(latex_rational, lambda n: "t" if n == 1 else f"t^{{{n}}}", " ")
+def latex_polynomial(coefficients: Sequence[str]) -> str:
+    """The polynomial whose wire strings are ``coefficients`` in LaTeX."""
+    return _spell(coefficients, latex_rational, lambda n: "t" if n == 1 else f"t^{{{n}}}", " ")
 
 
 _LATEX_ESCAPES = str.maketrans(
     {c: "\\" + c for c in "&%$#_{}"}
     | {"\\": "\\textbackslash{}", "~": "\\textasciitilde{}", "^": "\\textasciicircum{}"}
 )
+_LATEX_SPECIALS = frozenset("&%$#_{}\\~^")
 
 
 def _tabular(columns: str, head: Sequence[str], rows) -> str:
@@ -79,8 +79,10 @@ def _tabular(columns: str, head: Sequence[str], rows) -> str:
     lines = [f"\\begin{{tabular}}{{{columns}}}"]
     if head:
         lines.append(" & ".join(head) + " \\\\")
-    for row in rows:
-        lines.append(" & ".join(str(cell).translate(_LATEX_ESCAPES) for cell in row) + " \\\\")
+    for row in rows:  # a cell with no special character skips the translation
+        lines.append(" & ".join([text if _LATEX_SPECIALS.isdisjoint(text)
+                                 else text.translate(_LATEX_ESCAPES) for text in map(str, row)])
+                     + " \\\\")
     lines.append("\\end{tabular}")
     return _lines(lines)
 
@@ -95,6 +97,36 @@ def _csv(rows) -> str:
 
 def _lines(lines) -> str:
     return "\n".join(lines) + "\n"
+
+
+def _json(payload) -> str:
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` spells
+    it, for a value of dicts with string keys, lists, tuples, strings, ints,
+    floats, booleans and None."""
+    from json.encoder import encode_basestring_ascii as quote  # only a json document loads json
+
+    def spelled(value, indent: str) -> str:  # ``indent``: the break and indent of value's line
+        if isinstance(value, str):
+            return quote(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):  # json spells the non-finite floats its own way
+            text = float.__repr__(value)
+            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{quote(key)}: {spelled(value[key], inner)}" for key in sorted(value)]
+            return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+        items = [spelled(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+    return spelled(payload, "\n")
 
 
 class Document(_Frozen):
@@ -113,9 +145,7 @@ class Document(_Frozen):
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            import json  # here, so that only a json document loads it
-
-            return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
+            return _json(self.payload) + "\n"
         return self.layout(self.payload, fmt)
 
 
@@ -130,8 +160,8 @@ def _scalar_layout(payload: dict, fmt: str) -> str:
 def _polynomial_layout(payload: dict, fmt: str) -> str:
     if fmt == "csv":
         return _csv([("power", "coefficient"), *enumerate(payload["coefficients"])])
-    poly = QPolynomial.from_strings(payload["coefficients"])
-    return _lines([latex_polynomial(poly) if fmt == "latex" else str(poly)])
+    coefficients = payload["coefficients"]
+    return _lines([latex_polynomial(coefficients) if fmt == "latex" else _spell(coefficients)])
 
 
 def _series_layout(payload: dict, fmt: str) -> str:
@@ -139,10 +169,10 @@ def _series_layout(payload: dict, fmt: str) -> str:
     if fmt == "csv":
         rows = [(f"numerator[{power}]", c) for power, c in enumerate(payload["numerator"])]
         return _csv([("key", "value"), *rows, ("krull_dim", krull_dim)])
-    numerator = QPolynomial.from_strings(payload["numerator"])
+    numerator = payload["numerator"]
     if fmt == "latex":
         return _lines([f"\\frac{{{latex_polynomial(numerator)}}}{{(1 - t)^{{{krull_dim}}}}}"])
-    return _lines([f"numerator = {numerator}", f"krull_dim = {krull_dim}"])
+    return _lines([f"numerator = {_spell(numerator)}", f"krull_dim = {krull_dim}"])
 
 
 def _table_layout(payload: dict, fmt: str) -> str:

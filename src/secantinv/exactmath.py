@@ -44,6 +44,8 @@ import at start-up.
 Serialization contract used across the package: a rational renders as the
 string ``"p/q"`` with q > 0 and gcd(|p|, q) = 1, or plain ``"p"`` when q = 1;
 a polynomial renders as the list of such strings in ascending degree.
+:func:`_spell` writes such a list out as terms, in text by default and in
+LaTeX for the command line, reading only the strings.
 """
 
 from __future__ import annotations
@@ -98,6 +100,34 @@ def format_rational(value: RationalLike) -> str:
 def parse_rational(text: str) -> Fraction:
     """Inverse of :func:`format_rational` (also accepts any Fraction spelling)."""
     return Fraction(text)
+
+
+def _t_power(n: int) -> str:
+    return "t" if n == 1 else f"t^{n}"
+
+
+def _spell(coefficients: Sequence[str], magnitude: Callable[[str], str] = str,
+           monomial: Callable[[int], str] = _t_power, times: str = "*") -> str:
+    """The polynomial whose wire strings are ``coefficients``, ascending,
+    spelled from the highest degree down, as in "2*t^2 - t + 1/2": a "0" is
+    skipped, a leading "-" gives the sign, ``magnitude`` spells each
+    unsigned string, ``monomial`` each t^n with n >= 1, and ``times`` joins
+    a magnitude other than "1" to its monomial."""
+    parts: list[str] = []
+    for power in range(len(coefficients) - 1, -1, -1):
+        c = coefficients[power]
+        if c == "0":
+            continue
+        sign = "-" if c[0] == "-" else "+"
+        mag = c[1:] if sign == "-" else c
+        if power == 0:
+            body = magnitude(mag)
+        elif mag == "1":
+            body = monomial(power)
+        else:
+            body = f"{magnitude(mag)}{times}{monomial(power)}"
+        parts.append(f"{sign} {body}" if parts else (f"-{body}" if sign == "-" else body))
+    return " ".join(parts) or "0"
 
 
 def _trimmed(values: Sequence[int]) -> tuple[int, ...]:
@@ -348,39 +378,16 @@ class QPolynomial(_Frozen):
 
     def to_strings(self) -> list[str]:
         """Ascending-degree list of "p/q" strings (the wire format)."""
+        if self.denominator == 1:
+            return list(map(str, self.numerators))
         return [format_rational(c) for c in self.coefficients]
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "QPolynomial":
         return cls(tuple(parse_rational(s) for s in items))
 
-    def spell(
-        self,
-        coefficient: Callable[[Fraction], str],
-        monomial: Callable[[int], str],
-        times: str,
-    ) -> str:
-        """The terms from the highest degree down, as in "2*t^2 - t + 1/2":
-        ``coefficient`` spells each magnitude, ``monomial`` each t^n with
-        n >= 1, and ``times`` joins a magnitude other than 1 to its monomial."""
-        parts: list[str] = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficients[power]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if power == 0:
-                body = coefficient(mag)
-            elif mag == 1:
-                body = monomial(power)
-            else:
-                body = f"{coefficient(mag)}{times}{monomial(power)}"
-            parts.append(f"{sign} {body}" if parts else (f"-{body}" if c < 0 else body))
-        return " ".join(parts) or "0"
-
     def __str__(self) -> str:
-        return self.spell(format_rational, lambda n: "t" if n == 1 else f"t^{n}", "*")
+        return _spell(self.to_strings())
 
 
 def binomial_poly(shift: int, lower: int) -> QPolynomial:

@@ -23,6 +23,7 @@ def recipe():
     ("instances", 3200, 1840),
     ("sweeps", 147, 147),
     ("refusals", 750, 131),
+    ("tables", 1440, 1440),
     ("engine", 693, 693),
     ("box", 16, 16),
 ])
