@@ -8,21 +8,27 @@ output is byte-identical across runs of the same request.
 Exit codes: 0 success; 1 failed validation; 2 usage or domain errors
 (including unknown flags); 3 internal consistency failures.
 
-The parser is built once per process and shared by every ``run``.  A command
-line whose first word names a command is parsed by that command's own parser
-alone; any other (empty, ``--help``, an unknown word, an option first) goes to
-the top-level parser.  Either way the namespace, usage message and help text
-are those of the top-level parser.
+How a line is parsed: every command's options are listed once, in one
+table.  A well-formed line (a command name, then pairs of an exact long flag
+and its value, each flag once, every required flag given, no value starting
+with ``-`` unless it is ``-`` and ASCII digits, and every value converted and
+among its choices) is read straight from that table, with no argparse.  Any
+other line (help, an abbreviation, ``--flag=value``, ``--``, a repeated flag,
+any usage error, a line that names no command) goes to the argparse parser
+built from the same table, once per process: to the named command's own
+parser if the first word names one, else to the top-level parser.  Every
+path gives the namespace, usage message and help text of the top-level
+parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, TextIO
 
 from .cohomology import (
@@ -247,7 +253,7 @@ def _validate_layout(payload: dict, fmt: str) -> str:
     ])
 
 
-# --- argument plumbing ------------------------------------------------------
+# --- the option table -------------------------------------------------------
 
 def _range_argument(text: str) -> range:
     """Inclusive integer range "a:b", or a single integer "a"."""
@@ -263,52 +269,85 @@ def _range_argument(text: str) -> range:
             return range(lo, hi + 1)
     except ValueError:
         pass
+    import argparse  # only to word the refusal the argparse way
+
     raise argparse.ArgumentTypeError(
         f"expected an inclusive range 'a:b' or a single integer, got {text!r}"
     )
 
 
-def _add_instance_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--genus", type=int, required=True)
-    parser.add_argument("--degree", type=int, required=True)
-    parser.add_argument("--order", type=int, required=True)
+# The options of a command map each flag to the keywords argparse's
+# ``add_argument`` takes for it, dest and type always given: ``_build_parser``
+# passes them on as they are, and ``_read`` reads a well-formed line from them
+# directly.  A type of None keeps the word as it is.
+
+def _required(dest: str, type=int, **more) -> dict:
+    return {"dest": dest, "type": type, "required": True, **more}
+
+
+def _optional(dest: str, default=None, type=int, **more) -> dict:
+    return {"dest": dest, "type": type, "default": default, **more}
+
+
+_INSTANCE = {"--genus": _required("genus"), "--degree": _required("degree"),
+             "--order": _required("order")}
+
+_DOCUMENT_OPTIONS = {  # every command writes one document
+    "--format": _optional("format", "text", type=None, choices=FORMATS),
+    "--out": _optional("out", type=None, metavar="PATH",
+                       help="write the document to PATH instead of stdout"),
+}
+
+# Every command's help line and options, in the order its parser lists them.
+_COMMANDS = {name: (help_text, {**options, **_DOCUMENT_OPTIONS}) for name, help_text, options in (
+    ("hilbert", "Hilbert polynomial of the secant variety", _INSTANCE),
+    ("series", "Hilbert series numerator and Krull dimension", _INSTANCE),
+    ("degree", "degree of the secant variety", _INSTANCE),
+    ("generators", "minimal generators of the defining ideal", _INSTANCE),
+    ("coh-sym", "cohomology of symmetric powers of the secant sheaf",
+     {**_INSTANCE, "--twist": _required("twist")}),
+    ("coh-wedge", "cohomology of exterior powers of the secant sheaf", {
+        "--genus": _required("genus"),
+        "--points": _required("points", help="size of the symmetric product"),
+        "--twist": _required("twist", help="exterior power, between 1 and points"),
+        "--degree-of-L": _required("degree_of_l"),
+        "--degree-of-M": _required("degree_of_m"),
+        "--h1-of-L": _optional("h1_of_l"),
+        "--h1-of-M": _optional("h1_of_m"),
+        "--h1-of-LM": _optional("h1_of_lm"),
+    }),
+    ("coh-canonical", "canonical-twisted cohomology dimensions",
+     {**_INSTANCE, "--twist": _required("twist")}),
+    ("coh-line", "cohomology of the N/T line bundles on a symmetric product", {
+        "--family": _required("family", type=None, choices=("N", "T")),
+        "--points": _required("points"),
+        "--genus": _required("genus"),
+        "--degree": _required("degree", help="degree of the line bundle"),
+        "--h1-of-L": _optional("h1_of_l"),
+    }),
+    ("tangent-cone", "tangent-cone descriptor at a singular stratum",
+     {**_INSTANCE, "--stratum": _required("stratum")}),
+    ("cone", "cone over the secant variety with a linear vertex",
+     {**_INSTANCE, "--vertex-count": _required("vertex_count")}),
+    ("sweep", "evaluate an invariant over a parameter grid", {
+        "--genus-range": _required("genus_range", type=_range_argument),
+        "--degree-range": _required("degree_range", type=_range_argument),
+        "--order-range": _required("order_range", type=_range_argument),
+        "--invariant": _required("invariant", type=None,
+                                 choices=("degree", "generators", "canonical-h0", "hilbert")),
+        "--twist": _optional("twist", 1, help="twist for --invariant hilbert (default 1)"),
+    }),
+    ("validate", "run the full self-validation catalogue", {}),
+)}
 
 
 class _HelpRequested(Exception):
     """``--help`` was given; the one argument is the help text."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises a bad command line as :class:`UsageError`, so that it gets the
-    one ``error: usage: <message>`` line instead of argparse's usage block
-    on the process's stderr, and ``--help`` as :class:`_HelpRequested`, so
-    that ``run`` writes the text like any document.  Every subparser is of
-    this class."""
-
-    def error(self, message: str):
-        raise UsageError(message)
-
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
-
-
-class _TopParser(_Parser):
-    """The top-level parser; ``commands`` maps each command name to its
-    subparser.  A line that starts with ``--`` and goes on is refused with
-    the message argparse gives it on 3.11 to 3.13.0, on every interpreter:
-    the argparse of 3.13.13 drops the ``--`` and runs the command after it."""
-
-    commands: dict[str, _Parser]
-
-    def parse_known_args(self, args=None, namespace=None):
-        if args and args[0] == "--" and len(args) > 1:
-            choices = ", ".join(map(repr, self.commands))
-            self.error(f"argument command: invalid choice: '--' (choose from {choices})")
-        return super().parse_known_args(args, namespace)
-
-
-def build_parser() -> _Parser:
-    """The command-line parser, built on first use and shared by every run.
+def build_parser():
+    """The argparse parser, built for the first line that needs it and
+    shared by every run after.
 
     A plain function around the cached builder, so that the benchmark's
     tracer, which wraps plain functions only, still counts and times it."""
@@ -316,81 +355,53 @@ def build_parser() -> _Parser:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser():
+    """The argparse parser of the option table: the only reader of a line
+    that ``_read`` leaves, and of ``--help``."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Raises a bad command line as :class:`UsageError`, so that it gets
+        the one ``error: usage: <message>`` line instead of argparse's usage
+        block on the process's stderr, and ``--help`` as
+        :class:`_HelpRequested`, so that ``run`` writes the text like any
+        document.  Every subparser is of this class."""
+
+        def error(self, message: str):
+            raise UsageError(message)
+
+        def print_help(self, file=None):
+            raise _HelpRequested(self.format_help())
+
+    class _TopParser(_Parser):
+        """The top-level parser; ``commands`` maps each command name to its
+        subparser.  A line that starts with ``--`` and goes on is refused
+        with the message argparse gives it on 3.11 to 3.13.0, on every
+        interpreter: the argparse of 3.13.13 drops the ``--`` and runs the
+        command after it."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            if args and args[0] == "--" and len(args) > 1:
+                choices = ", ".join(map(repr, self.commands))
+                self.error(f"argument command: invalid choice: '--' (choose from {choices})")
+            return super().parse_known_args(args, namespace)
+
     parser = _TopParser(
         prog="secantinv",
         description="Exact invariants of secant varieties of smooth projective curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     parser.commands = sub.choices
-
-    for name, help_text in (
-        ("hilbert", "Hilbert polynomial of the secant variety"),
-        ("series", "Hilbert series numerator and Krull dimension"),
-        ("degree", "degree of the secant variety"),
-        ("generators", "minimal generators of the defining ideal"),
-    ):
-        _add_instance_options(sub.add_parser(name, help=help_text))
-
-    p = sub.add_parser("coh-sym", help="cohomology of symmetric powers of the secant sheaf")
-    _add_instance_options(p)
-    p.add_argument("--twist", type=int, required=True)
-
-    p = sub.add_parser("coh-wedge", help="cohomology of exterior powers of the secant sheaf")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--points", type=int, required=True,
-                   help="size of the symmetric product")
-    p.add_argument("--twist", type=int, required=True,
-                   help="exterior power, between 1 and points")
-    p.add_argument("--degree-of-L", type=int, required=True, dest="degree_of_l")
-    p.add_argument("--degree-of-M", type=int, required=True, dest="degree_of_m")
-    p.add_argument("--h1-of-L", type=int, default=None, dest="h1_of_l")
-    p.add_argument("--h1-of-M", type=int, default=None, dest="h1_of_m")
-    p.add_argument("--h1-of-LM", type=int, default=None, dest="h1_of_lm")
-
-    p = sub.add_parser("coh-canonical", help="canonical-twisted cohomology dimensions")
-    _add_instance_options(p)
-    p.add_argument("--twist", type=int, required=True)
-
-    p = sub.add_parser("coh-line", help="cohomology of the N/T line bundles on a symmetric product")
-    p.add_argument("--family", choices=("N", "T"), required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True, help="degree of the line bundle")
-    p.add_argument("--h1-of-L", type=int, default=None, dest="h1_of_l")
-
-    p = sub.add_parser("tangent-cone", help="tangent-cone descriptor at a singular stratum")
-    _add_instance_options(p)
-    p.add_argument("--stratum", type=int, required=True)
-
-    p = sub.add_parser("cone", help="cone over the secant variety with a linear vertex")
-    _add_instance_options(p)
-    p.add_argument("--vertex-count", type=int, required=True, dest="vertex_count")
-
-    p = sub.add_parser("sweep", help="evaluate an invariant over a parameter grid")
-    p.add_argument("--genus-range", type=_range_argument, required=True, dest="genus_range")
-    p.add_argument("--degree-range", type=_range_argument, required=True, dest="degree_range")
-    p.add_argument("--order-range", type=_range_argument, required=True, dest="order_range")
-    p.add_argument(
-        "--invariant",
-        choices=("degree", "generators", "canonical-h0", "hilbert"),
-        required=True,
-    )
-    p.add_argument("--twist", type=int, default=1,
-                   help="twist for --invariant hilbert (default 1)")
-
-    sub.add_parser("validate", help="run the full self-validation catalogue")
-
-    for p in sub.choices.values():  # every command writes one document
-        p.add_argument("--format", choices=FORMATS, default="text")
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="write the document to PATH instead of stdout")
+    for name, (help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
     return parser
 
 
 # --- command handlers -------------------------------------------------------
 
-def _instance(args: argparse.Namespace) -> SecantInstance:
+def _instance(args) -> SecantInstance:
     return SecantInstance(args.genus, args.degree, args.order)
 
 
@@ -511,16 +522,53 @@ def _write_stream(out: TextIO, text: str) -> None:
         raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _read(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives a well-formed ``argv``, read straight from
+    the option table; None for any other line.  Well-formed: a command name,
+    then pairs of an exact flag and its value, each flag once and every
+    required one given, no value starting with ``-`` unless it is ``-`` and
+    ASCII digits, and every value converted and among its choices."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None or not len(argv) % 2:
+        return None
+    options = entry[1]
+    values = {}
+    for flag, word in zip(argv[1::2], argv[2::2]):
+        option = options.get(flag)
+        if option is None or option["dest"] in values:
+            return None
+        if word[:1] == "-" and not (word[1:].isdigit() and word[1:].isascii()):
+            return None
+        convert, choices = option["type"], option.get("choices")
+        try:
+            value = word if convert is None else convert(word)
+        except Exception:  # whatever a converter raises, argparse is the one to report it
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[option["dest"]] = value
+    for option in options.values():
+        if option["dest"] not in values:
+            if "required" in option:
+                return None
+            values[option["dest"]] = option["default"]
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def _parse(argv: list[str]):
     """The namespace, usage error or help text that ``build_parser().parse_args``
-    gives for ``argv``.  A command line that starts with a command name goes
-    straight to that command's parser, which the top-level parser would hand
-    the rest to anyway, so it is parsed once instead of twice."""
+    gives for ``argv``.  A well-formed line is read by ``_read`` without
+    argparse.  Any other line that starts with a command name goes straight
+    to that command's parser, which the top-level parser would hand the rest
+    to anyway, so it is parsed once instead of twice."""
+    args = _read(argv)
+    if args is not None:
+        return args
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return command.parse_args(argv[1:], SimpleNamespace(command=argv[0]))
 
 
 def run(argv: Sequence[str], stdout: Optional[TextIO] = None,

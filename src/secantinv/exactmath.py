@@ -183,9 +183,10 @@ class QPolynomial(_Frozen):
     ascending degree, with coefficient j equal to n_j / D, n_m nonzero and
     gcd(D, n_0, ..., n_m) = 1, so that equal polynomials have equal forms.
     The zero polynomial has no numerators, D = 1 and degree -1.  The
-    coefficients as ``Fraction`` objects are built on first read.  A
-    polynomial built by :meth:`_forward` holds its forward differences
-    instead, and builds the integer form on the first read of either field.
+    coefficients as ``Fraction`` objects and the wire strings are built on
+    first read.  A polynomial built by :meth:`_forward` holds its forward
+    differences instead, and builds the integer form on the first read of
+    either field.
     Instances are immutable and safe to share between threads.
     """
 
@@ -376,11 +377,17 @@ class QPolynomial(_Frozen):
         quotient.reverse()
         return QPolynomial(quotient), remainder
 
-    def to_strings(self) -> list[str]:
-        """Ascending-degree list of "p/q" strings (the wire format)."""
+    @cached_property
+    def _wire(self) -> tuple[str, ...]:
+        """The wire strings, spelled on first read and kept."""
         if self.denominator == 1:
-            return list(map(str, self.numerators))
-        return [format_rational(c) for c in self.coefficients]
+            return tuple(map(str, self.numerators))
+        return tuple(map(format_rational, self.coefficients))
+
+    def to_strings(self) -> list[str]:
+        """Ascending-degree list of "p/q" strings (the wire format), a fresh
+        list on every call."""
+        return list(self._wire)
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "QPolynomial":

@@ -8,10 +8,13 @@ import sys
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secantinv import (DomainError, QPolynomial, SecantInstance, UsageError, hilbert_polynomial,
                        hilbert_series)
-from secantinv.cli import _HANDLERS, FORMATS, Document, _HelpRequested, _parse, build_parser, run
+from secantinv.cli import (_HANDLERS, FORMATS, Document, _HelpRequested, _parse, _read,
+                           build_parser, run)
 from secantinv.validation import CheckResult
 
 
@@ -525,6 +528,21 @@ class TestSharedParser:
         assert reused == invoke(wedge)
         assert reused[0] == 2 and reused[2].startswith("error: ambiguous-bundle:")
 
+    # sha256 of ``--help`` and then every ``<command> --help``, in the order
+    # the commands are listed, at COLUMNS=80; argparse words help differently
+    # from 3.13 on, and that digest is pinned by its first eight hex digits
+    HELP_DIGEST = ("c5c755dc286b0a0a043bf549966012b7c89da096b02b409dcf8d87031167a1d5"
+                   if sys.version_info < (3, 13) else "2e5a0aeb")
+
+    def test_help_text_is_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for argv in [["--help"], *([name, "--help"] for name in build_parser().commands)]:
+            code, out, err = invoke(argv)
+            assert (code, err) == (0, ""), argv
+            texts.append(out)
+        assert hashlib.sha256("".join(texts).encode()).hexdigest().startswith(self.HELP_DIGEST)
+
 
 # one valid command line per command, as (option, value) pairs
 _DISPATCH_BASES = {
@@ -572,9 +590,35 @@ def _parse_outcome(parse, argv):
         return "help", request.args[0]
 
 
+# values a drawn line gives an option: a sign, a space, an underscore, a
+# non-ASCII digit, nothing, a dash word, the longest int and one past it, a
+# bad range, a choice of another option and a choice of none
+_VALUE_POOL = ("-1", "+3", " 3", "3_000", "\u0663", "", "-x", "--", "9" * 4300, "9" * 4301,
+               "-" + "9" * 4300, "2:1", "N", "xml")
+
+
+@st.composite
+def _drawn_lines(draw, command):
+    """A line for ``command``: the options of its base line and up to two
+    of the command's other options but help, permuted, each dropped, kept
+    or given twice, with the base's value or, for one in six and for every
+    option the base lacks, a value from the pool."""
+    words = _DISPATCH_BASES[command].split()
+    own = dict(zip(words[::2], words[1::2]))
+    others = sorted(action.option_strings[-1] for action in build_parser().commands[command]._actions
+                    if action.dest != "help" and action.option_strings[-1] not in own)
+    line = [command]
+    for flag in draw(st.permutations([*own, *draw(st.lists(st.sampled_from(others), max_size=2))])):
+        for _ in range(draw(st.sampled_from((1, 1, 1, 1, 1, 1, 0, 2)))):
+            pooled = flag not in own or not draw(st.integers(0, 5))
+            line += [flag, draw(st.sampled_from(_VALUE_POOL)) if pooled else own[flag]]
+    return line
+
+
 class TestDirectDispatch:
-    """A command line that starts with a command name is parsed by that
-    command's parser alone; it must give what the top-level parser gives."""
+    """A command line that starts with a command name is read from the
+    option table, or parsed by that command's parser alone; either way it
+    must give what the top-level parser gives."""
 
     def test_every_command_has_a_base(self):
         assert set(_DISPATCH_BASES) == set(_HANDLERS) == set(build_parser().commands)
@@ -597,6 +641,20 @@ class TestDirectDispatch:
         outcome = _parse_outcome(_parse, argv)
         assert outcome == _parse_outcome(build_parser().parse_args, argv)
         assert outcome[0] in ("usage", "help")
+
+    @pytest.mark.parametrize("command", sorted(_DISPATCH_BASES))
+    def test_drawn_lines_agree_with_the_top_level_parser(self, command):
+        direct = []
+
+        @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+        @given(_drawn_lines(command))
+        def agree(argv):
+            outcome = _parse_outcome(_parse, argv)
+            assert outcome == _parse_outcome(build_parser().parse_args, argv), argv
+            direct.append(_read(argv) is not None)
+
+        agree()
+        assert any(direct) and not all(direct)  # the draws reach both paths
 
 
 class TestErrorTaxonomy:

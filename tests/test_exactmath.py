@@ -134,6 +134,18 @@ class TestQPolynomial:
         assert QPolynomial.from_strings(p.to_strings()) == p
         assert p.to_strings() == ["1", "-3/7", "0", "5"]
 
+    @pytest.mark.parametrize("coefficients", [[1, Fraction(-3, 7), 0, 5], [4, -2, 7]])
+    def test_to_strings_returns_a_fresh_list(self, coefficients):
+        """The strings are spelled once and kept, but no caller can change
+        what the next caller gets."""
+        p = QPolynomial(coefficients)
+        first = p.to_strings()
+        expected = list(first)
+        first[0] = "changed"
+        first.append("9")
+        assert p.to_strings() == expected
+        assert p.to_strings() is not p.to_strings()
+
     def test_str_rendering(self):
         assert str(QPolynomial([1, 2, Fraction(3, 2)])) == "3/2*t^2 + 2*t + 1"
         assert str(QPolynomial.zero()) == "0"

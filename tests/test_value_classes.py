@@ -171,7 +171,7 @@ def test_constructor_signature_is_unchanged(cls):
 # A fresh interpreter with no site packages, so that nothing but the package
 # and the request loads a module.  It prints the modules of WATCHED loaded after
 # the import and a text request, after a json request, and after a csv request.
-WATCHED = ("dataclasses", "inspect", "json", "csv")
+WATCHED = ("dataclasses", "inspect", "json", "csv", "argparse")
 IMPORT_PROBE = f"""
 import io, sys
 import secantinv.cli as cli
