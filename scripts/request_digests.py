@@ -33,9 +33,12 @@ digest; ``DIGESTS`` holds the values of today's engine.  The sets:
 * ``box``: 16 sweeps over the ROADMAP's reference box, ``--genus-range
   0:6 --degree-range 1:60 --order-range 0:8``, four invariants (``hilbert``
   at its default twist 1), each in all four formats; about 0.7 s.
+* ``cohomology``: 6,552 ``coh-sym`` (twists 0, 1, 2, 10**6) and
+  ``coh-canonical`` (twists 1, 2, 10**6) requests in all four formats, on
+  g <= 8, k <= 12, d = 2g+2k+1 and 2g+2k+2, looped in that order; about 0.5 s.
 
-``instances``, ``sweeps``, ``refusals``, ``tables``, ``engine`` and ``box``
-take about 2 s together, and ``tests/test_request_digests.py`` pins them.
+``instances``, ``sweeps``, ``refusals``, ``tables``, ``engine``, ``box`` and
+``cohomology`` take about 2.5 s together, and ``tests/test_request_digests.py`` pins them.
 
 Usage, from the repository root::
 
@@ -68,6 +71,7 @@ DIGESTS = {
     "tables": "d475d841187195fdd54260452205bda7be4191bb2ebe20f354ee24b897c15934",
     "engine": "c603f12f03582f4284cf60bbcc6eb098a6fd5741e33eedcaae846da04873f8fc",
     "box": "1d0c82e37504d981e5441bc0ab4caf36a4a027d969a80202b10b54e39a480b8f",
+    "cohomology": "2a684b4cfe987302c0babb7730648f3ea5679e2a1c5b4d3031ddd51aaf7526df",
 }
 
 
@@ -100,6 +104,18 @@ def instance_requests() -> Iterator[list[str]]:
                     for fmt in FORMATS:
                         yield [command, *base, "--format", fmt]
                 for command, twists in (("coh-sym", (-1, 0, 1, 3)), ("coh-canonical", (0, 1, 2))):
+                    for twist in twists:
+                        for fmt in FORMATS:
+                            yield [command, *base, "--twist", str(twist), "--format", fmt]
+
+
+def cohomology_requests() -> Iterator[list[str]]:
+    for g in range(9):
+        for k in range(13):
+            for d in (2 * g + 2 * k + 1, 2 * g + 2 * k + 2):
+                base = _instance(g, d, k)
+                for command, twists in (("coh-sym", (0, 1, 2, 10**6)),
+                                        ("coh-canonical", (1, 2, 10**6))):
                     for twist in twists:
                         for fmt in FORMATS:
                             yield [command, *base, "--twist", str(twist), "--format", fmt]
@@ -208,6 +224,7 @@ SETS: dict[str, Records] = {
     "tables": _responses(table_requests),
     "engine": engine_records,
     "box": _responses(box_requests),
+    "cohomology": _responses(cohomology_requests),
 }
 
 

@@ -197,25 +197,26 @@ def _table_layout(payload: dict, fmt: str) -> str:
     ])
 
 
-def _flatten_json(prefix: str, value):
-    """(dotted key, value) pairs of the leaves of a JSON value, keys sorted;
-    null and booleans keep their JSON spelling."""
+def _flatten_json(prefix: str, value, flat: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """``flat`` with the (dotted key, value) pairs of the leaves of a JSON
+    value appended, keys sorted; null and booleans keep their JSON spelling."""
     if isinstance(value, dict):
         for key in sorted(value):
-            yield from _flatten_json(f"{prefix}.{key}" if prefix else key, value[key])
+            _flatten_json(f"{prefix}.{key}" if prefix else key, value[key], flat)
     elif isinstance(value, list):
         for index, item in enumerate(value):
-            yield from _flatten_json(f"{prefix}[{index}]", item)
+            _flatten_json(f"{prefix}[{index}]", item, flat)
     elif value is None:
-        yield prefix, "null"
+        flat.append((prefix, "null"))
     elif isinstance(value, bool):
-        yield prefix, "true" if value else "false"
+        flat.append((prefix, "true" if value else "false"))
     else:
-        yield prefix, str(value)
+        flat.append((prefix, str(value)))
+    return flat
 
 
 def _record_layout(payload: dict, fmt: str) -> str:
-    flat = list(_flatten_json("", payload))
+    flat = _flatten_json("", payload, [])
     if fmt == "csv":
         return _csv([("key", "value"), *flat])
     if fmt == "latex":

@@ -23,8 +23,8 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import _Frozen, binomial
-from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _admit, _chi, _refuse,
-                          hilbert_function)
+from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _admit, _chi,
+                          _hilbert_value, _refuse)
 
 __all__ = [
     "LineBundleClass",
@@ -155,24 +155,52 @@ def _check_sections(**bundles: LineBundleClass) -> None:
                 raise DomainError(f"{label} of {name} exceeds the maximum {_MAX_SECTIONS}")
 
 
+# Each family's entry formula is one kernel, h^i of admitted arguments at any
+# integer i.  A table admits its arguments once and calls its kernel at every
+# index; a per-entry function admits its own and calls the same kernel.
+def _admit_line(points: int, bundle: LineBundleClass) -> None:
+    _admit("points", points, 1, _MAX_POINTS)
+    _check_sections(L=bundle)
+
+
+def _determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
+    factor = sym_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
+    return factor and wedge_dim(bundle.h0, points - i) * factor
+
+
+def _descent_line(points: int, bundle: LineBundleClass, i: int) -> int:
+    factor = wedge_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
+    return factor and sym_dim(bundle.h0, points - i) * factor
+
+
 def coh_determinant_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the determinant of the
     tautological sheaf of ``bundle``: wedge^{m-i} h0 times sym^i h1."""
-    _admit("points", points, 1, _MAX_POINTS)
-    _check_sections(L=bundle)
+    _admit_line(points, bundle)
     _admit("cohomological index", i)
-    factor = sym_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
-    return factor and wedge_dim(bundle.h0, points - i) * factor
+    return _determinant_line(points, bundle, i)
 
 
 def coh_descent_line(points: int, bundle: LineBundleClass, i: int) -> int:
     """h^i on the ``points``-th symmetric product of the invariant descent of
     the box power of ``bundle``: sym^{m-i} h0 times wedge^i h1."""
-    _admit("points", points, 1, _MAX_POINTS)
-    _check_sections(L=bundle)
+    _admit_line(points, bundle)
     _admit("cohomological index", i)
-    factor = wedge_dim(bundle.h1, i)  # often 0, and then the h0 factor is skipped
-    return factor and sym_dim(bundle.h0, points - i) * factor
+    return _descent_line(points, bundle, i)
+
+
+def _admit_sym_twist(twist: int) -> None:
+    _admit("twist", twist, 0, below="coh_sym_secant_sheaf needs twist >= 0, got {}")
+
+
+def _sym_secant(genus: int, degree: int, order: int, twist: int, i: int) -> int:
+    """The kernel of :func:`coh_sym_secant_sheaf`; a positive twist must
+    also be admitted as :func:`hilbert_function` admits it wherever chi is
+    read.  Every lower order of an admitted (g, d, k) is admitted too."""
+    if twist == 0:
+        return binomial(genus, i) if 0 <= i <= order + 1 else 0
+    factor = binomial(genus, i) if 0 <= i <= order else 0
+    return factor and factor * _hilbert_value(genus, degree, order - i, twist)
 
 
 def coh_sym_secant_sheaf(inst: SecantInstance, twist: int, i: int) -> int:
@@ -181,19 +209,15 @@ def coh_sym_secant_sheaf(inst: SecantInstance, twist: int, i: int) -> int:
     For twist > 0 this is C(g, i) copies of the Hilbert function of the
     order-(k-i) secant variety for 0 <= i <= k, and 0 for i = k+1; at
     twist 0 it is C(g, i) for 0 <= i <= k+1 (cohomology of the structure
-    sheaf of the symmetric product).  A twist that is not an integer is refused.
+    sheaf of the symmetric product).  A twist that is not an integer is
+    refused, and so is one above 10**6 where an entry reads chi.
     """
-    _admit("twist", twist, 0, below="coh_sym_secant_sheaf needs twist >= 0, got {}")
+    _admit_sym_twist(twist)
     _admit("cohomological index", i)
-    g, d, k = inst.genus, inst.degree, inst.order
-    if twist == 0:
-        return binomial(g, i) if 0 <= i <= k + 1 else 0
-    if not 0 <= i <= k:
-        return 0
-    factor = binomial(g, i)
-    if factor == 0:
-        return 0
-    return factor * hilbert_function(SecantInstance(g, d, k - i), twist)
+    g, k = inst.genus, inst.order
+    if twist and 0 <= i <= k and binomial(g, i):  # the entries that read chi
+        _admit("twist", twist, limit=_MAX_TWIST)
+    return _sym_secant(g, inst.degree, k, twist, i)
 
 
 def higher_direct_image_ranks(inst: SecantInstance) -> list[tuple[int, int, int]]:
@@ -257,8 +281,8 @@ def _wedge_factors(points: int, twist: int, twisting: LineBundleClass,
     the descent line of ``twisting`` on C_{points-twist} (a point when
     twist = points) and h^q of the determinant line of ``product`` on C_twist."""
     rest = points - twist
-    left = [coh_descent_line(rest, twisting, p) for p in range(min(top, rest) + 1)] if rest else [1]
-    return left, [coh_determinant_line(twist, product, q) for q in range(min(top, twist) + 1)]
+    left = [_descent_line(rest, twisting, p) for p in range(min(top, rest) + 1)] if rest else [1]
+    return left, [_determinant_line(twist, product, q) for q in range(min(top, twist) + 1)]
 
 
 def coh_wedge_secant_sheaf(
@@ -288,23 +312,30 @@ def coh_wedge_secant_sheaf(
     return sum(a * right[i - p] for p, a in enumerate(left) if i - p < len(right))
 
 
+def _admit_canonical_twist(twist: int) -> None:
+    _admit("twist", twist, 1, _MAX_TWIST, "coh_canonical_twist needs twist > 0, got {}")
+
+
+def _canonical_twist(genus: int, degree: int, order: int, twist: int, i: int) -> int:
+    if not 0 <= i <= min(1, order):
+        return 0
+    value = -_chi(genus, degree, order - i)._at(-twist)
+    if value < 0:
+        raise InternalMismatch(
+            f"-chi(-{twist}) = {value} is not a nonnegative integer "
+            f"for (g, d, k) = ({genus}, {degree}, {order})"
+        )
+    return value
+
+
 def coh_canonical_twist(inst: SecantInstance, twist: int, i: int) -> int:
     """h^i of the canonical-twisted symmetric powers for twist > 0: -chi at
     twist -twist of the order-(k-i) secant variety for i in {0, 1} with
     i <= k, and 0 otherwise.  A twist above 10**6, or not an integer, is
     refused."""
-    _admit("twist", twist, 1, _MAX_TWIST, "coh_canonical_twist needs twist > 0, got {}")
+    _admit_canonical_twist(twist)
     _admit("cohomological index", i)
-    g, d, k = inst.genus, inst.degree, inst.order
-    if not 0 <= i <= min(1, k):
-        return 0
-    value = -_chi(g, d, k - i)._at(-twist)
-    if value < 0:
-        raise InternalMismatch(
-            f"-chi(-{twist}) = {value} is not a nonnegative integer "
-            f"for (g, d, k) = ({g}, {d}, {k})"
-        )
-    return value
+    return _canonical_twist(inst.genus, inst.degree, inst.order, twist, i)
 
 
 class TableEntry(_Frozen):
@@ -357,10 +388,10 @@ TABLE_PARAMS = {
 }
 
 
-def _table(family: str, values: tuple, twist: Optional[int], dims) -> CohomologyTable:
+def _table(family: str, values: tuple, twist: Optional[int], dims: list[int]) -> CohomologyTable:
     """The ``family`` table with parameter ``values`` in the order of
-    ``TABLE_PARAMS[family]`` and entries h^i = dims[i], i = 0, 1, ...; the
-    entries come first, so that their checks refuse a value too long to print."""
+    ``TABLE_PARAMS[family]`` and entries h^i = dims[i], i = 0, 1, ...; its
+    builder has admitted every value, so none is too long to print."""
     entries = tuple(TableEntry(i, twist, dim) for i, dim in enumerate(dims))
     return CohomologyTable(family, tuple(zip(TABLE_PARAMS[family], map(str, values))), entries)
 
@@ -370,18 +401,23 @@ def line_bundle_table(
 ) -> CohomologyTable:
     """Table of h^i, i = 0..points, for the "N" (determinant) or "T"
     (descent) line-bundle family on the points-th symmetric product."""
-    _admit("points", points, 1)  # below 0 the map is empty, and no entry refuses it
-    op = {"N": coh_determinant_line, "T": coh_descent_line}.get(family)
-    if op is None:
+    _admit("points", points, 1)  # a bad points value is refused before a bad family
+    kernel = {"N": _determinant_line, "T": _descent_line}.get(family)
+    if kernel is None:
         raise DomainError(f"unknown line-bundle family {family!r}, expected N or T")
-    dims = (op(points, bundle, i) for i in range(points + 1))
+    _admit_line(points, bundle)
+    dims = [kernel(points, bundle, i) for i in range(points + 1)]
     return _table(family, (points, bundle.genus, bundle.degree, bundle.h0, bundle.h1),
                   None, dims)
 
 
 def sym_secant_table(inst: SecantInstance, twist: int) -> CohomologyTable:
-    dims = (coh_sym_secant_sheaf(inst, twist, i) for i in range(inst.order + 2))
-    return _table("SymE", (inst.genus, inst.degree, inst.order, twist), twist, dims)
+    _admit_sym_twist(twist)
+    if twist:  # entry 0, one copy of chi_k(twist), reads chi
+        _admit("twist", twist, limit=_MAX_TWIST)
+    g, d, k = inst.genus, inst.degree, inst.order
+    dims = [_sym_secant(g, d, k, twist, i) for i in range(k + 2)]
+    return _table("SymE", (g, d, k, twist), twist, dims)
 
 
 def wedge_secant_table(
@@ -405,5 +441,7 @@ def wedge_secant_table(
 
 
 def canonical_twist_table(inst: SecantInstance, twist: int) -> CohomologyTable:
-    dims = (coh_canonical_twist(inst, twist, i) for i in range(inst.order + 2))
-    return _table("CanonicalSymE", (inst.genus, inst.degree, inst.order, twist), twist, dims)
+    _admit_canonical_twist(twist)
+    g, d, k = inst.genus, inst.degree, inst.order
+    dims = [_canonical_twist(g, d, k, twist, i) for i in range(k + 2)]
+    return _table("CanonicalSymE", (g, d, k, twist), twist, dims)

@@ -487,24 +487,30 @@ def _expanded(coefficients: Sequence[int], abscissae: Sequence[int], denominator
     numerators = _newton_to_monomial(coefficients, abscissae)
     if not _monomial_to_newton_matches(numerators, coefficients, abscissae):
         raise InternalMismatch("the monomial and Newton forms of a polynomial differ")
-    power = 1
-    for j in range(1, len(numerators)):
-        power *= scale
-        numerators[j] *= power
+    if scale != 1:  # every chi expansion has scale 1
+        power = 1
+        for j in range(1, len(numerators)):
+            power *= scale
+            numerators[j] *= power
     return QPolynomial._over(numerators, denominator)
 
 
 def _newton_to_monomial(coefficients: Sequence[int], abscissae: Sequence[int]) -> list[int]:
     """Ascending monomial coefficients of sum_r c_r prod_{i<r} (u - a_i), by
     the nest P_r = c_r + (u - a_r) P_{r+1} from the top coefficient down:
-    the one expansion of a Newton form into monomials."""
+    the one expansion of a Newton form into monomials.  Each step rewrites
+    one list in place, coefficient j of P_r being that of P_{r+1} at j - 1
+    (c_r at j = 0) minus a_r times that at j."""
     if not coefficients:
         return []
     poly = [coefficients[-1]]
     for r in range(len(coefficients) - 2, -1, -1):
         a = abscissae[r]
-        poly = [b - a * c for b, c in zip([0, *poly], [*poly, 0])]
-        poly[0] += coefficients[r]
+        carry = coefficients[r]
+        for j, c in enumerate(poly):
+            poly[j] = carry - a * c
+            carry = c
+        poly.append(carry)
     return poly
 
 

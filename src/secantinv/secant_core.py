@@ -220,6 +220,14 @@ class HilbertSeries(_Frozen):
                 )
         self.__dict__.update(numerator=numerator, krull_dim=krull_dim)
 
+    def _coned(self, vertex_count: int) -> "HilbertSeries":
+        """The series of the cone over this one with an admitted
+        ``vertex_count`` >= 0 more coordinates: the same numerator, checked
+        when this series was built, over (1-t)^(krull_dim + vertex_count)."""
+        series = HilbertSeries.__new__(HilbertSeries)
+        series.__dict__.update(numerator=self.numerator, krull_dim=self.krull_dim + vertex_count)
+        return series
+
     def degree(self) -> int:
         """Degree of the variety, namely Q(1)."""
         return sum(self.numerator.numerators)
@@ -379,7 +387,13 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     _admit("twist", twist, 0, _MAX_TWIST, "hilbert_function needs twist >= 0, got {}")
     if twist == 0:
         return 1
-    value = _chi(inst.genus, inst.degree, inst.order)._at(twist)
+    return _hilbert_value(inst.genus, inst.degree, inst.order, twist)
+
+
+def _hilbert_value(genus: int, degree: int, order: int, twist: int) -> int:
+    """chi(twist) of an admitted (g, d, k) at an admitted twist >= 1, the
+    Hilbert function there, which must be positive."""
+    value = _chi(genus, degree, order)._at(twist)
     if value <= 0:
         raise InternalMismatch(f"chi({twist}) = {value} is not a positive integer")
     return value

@@ -34,6 +34,9 @@ __all__ = [
 
 SMOOTH_POINT = None  # the base of a descriptor at a smooth point (stratum s = k)
 
+# The series 1/(1-t) of a point: P^{2k} is the cone over it with 2k more coordinates.
+_POINT_SERIES = HilbertSeries(QPolynomial.constant(1), 1)
+
 
 class TangentConeDescriptor(_Frozen):
     """Numerical description of the projectivized tangent cone at a point of
@@ -107,10 +110,10 @@ def tangent_cone_at(inst: SecantInstance, stratum: int) -> TangentConeDescriptor
         _refuse("stratum {} outside 0..{k}", ("stratum", stratum), error=StratumOutOfRange, k=k)
     if stratum == k:
         # Smooth point: the tangent cone is the full projectivized tangent space.
-        base, series = SMOOTH_POINT, HilbertSeries(QPolynomial.constant(1), 2 * k + 1)
+        base, series = SMOOTH_POINT, _POINT_SERIES._coned(2 * k)
     else:
         base = SecantInstance(inst.genus, inst.degree - 2 * stratum - 2, k - stratum - 1)
-        series = cone_over_secant(base, 2 * stratum + 1).series
+        series = hilbert_series(base)._coned(2 * stratum + 1)
     return TangentConeDescriptor(
         ambient=inst,
         stratum=stratum,
@@ -133,12 +136,7 @@ def cone_over_secant(inst: SecantInstance, vertex_count: int) -> ConeOverSecant:
     """Cone over the secant variety with an (m-1)-plane vertex, m >= 0; the
     case m = 0 is the variety itself."""
     _admit("vertex_count", vertex_count, 0, _MAX_VERTEX_COUNT)
-    base = hilbert_series(inst)
-    return ConeOverSecant(
-        inst,
-        vertex_count,
-        HilbertSeries(base.numerator, base.krull_dim + vertex_count),
-    )
+    return ConeOverSecant(inst, vertex_count, hilbert_series(inst)._coned(vertex_count))
 
 
 def multiplicity_along_stratum(inst: SecantInstance, stratum: int) -> int:

@@ -518,8 +518,9 @@ WEDGE_PAST_LIMIT = {
 
 
 class TestAdmissionParity:
-    """Each limit is checked by the per-entry function, so a table and its
-    entries refuse the same inputs with the same message."""
+    """A table admits its arguments once, in the order its per-entry function
+    checks them, so a table and its entries refuse the same inputs with the
+    same message."""
 
     @pytest.mark.parametrize("table, entry", [
         (sym_secant_table, coh_sym_secant_sheaf),
