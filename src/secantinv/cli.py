@@ -8,17 +8,16 @@ output is byte-identical across runs of the same request.
 Exit codes: 0 success; 1 failed validation; 2 usage or domain errors
 (including unknown flags); 3 internal consistency failures.
 
-How a line is parsed: every command's options are listed once, in one
-table.  A well-formed line (a command name, then pairs of an exact long flag
-and its value, each flag once, every required flag given, no value starting
-with ``-`` unless it is ``-`` and ASCII digits, and every value converted and
-among its choices) is read straight from that table, with no argparse.  Any
-other line (help, an abbreviation, ``--flag=value``, ``--``, a repeated flag,
-any usage error, a line that names no command) goes to the argparse parser
-built from the same table, once per process: to the named command's own
-parser if the first word names one, else to the top-level parser.  Every
-path gives the namespace, usage message and help text of the top-level
-parser.
+How a line is parsed: one table holds each command's help line, options
+and handler.  A well-formed line (a command name, then pairs of an exact
+long flag and its value, each flag once, every required flag given, no value
+starting with ``-`` unless it is ``-`` and ASCII digits, and every value
+converted and among its choices) is read straight from that table, with no
+argparse.  Every other line (help, an abbreviation, ``--flag=value``, ``--``,
+a repeated flag, any usage error, a line that names no command) goes to the
+top-level argparse parser, built from the same table once per process.
+Both paths give the same namespace; help is laid out for 80 columns on any
+terminal.
 """
 
 from __future__ import annotations
@@ -299,48 +298,6 @@ _DOCUMENT_OPTIONS = {  # every command writes one document
                        help="write the document to PATH instead of stdout"),
 }
 
-# Every command's help line and options, in the order its parser lists them.
-_COMMANDS = {name: (help_text, {**options, **_DOCUMENT_OPTIONS}) for name, help_text, options in (
-    ("hilbert", "Hilbert polynomial of the secant variety", _INSTANCE),
-    ("series", "Hilbert series numerator and Krull dimension", _INSTANCE),
-    ("degree", "degree of the secant variety", _INSTANCE),
-    ("generators", "minimal generators of the defining ideal", _INSTANCE),
-    ("coh-sym", "cohomology of symmetric powers of the secant sheaf",
-     {**_INSTANCE, "--twist": _required("twist")}),
-    ("coh-wedge", "cohomology of exterior powers of the secant sheaf", {
-        "--genus": _required("genus"),
-        "--points": _required("points", help="size of the symmetric product"),
-        "--twist": _required("twist", help="exterior power, between 1 and points"),
-        "--degree-of-L": _required("degree_of_l"),
-        "--degree-of-M": _required("degree_of_m"),
-        "--h1-of-L": _optional("h1_of_l"),
-        "--h1-of-M": _optional("h1_of_m"),
-        "--h1-of-LM": _optional("h1_of_lm"),
-    }),
-    ("coh-canonical", "canonical-twisted cohomology dimensions",
-     {**_INSTANCE, "--twist": _required("twist")}),
-    ("coh-line", "cohomology of the N/T line bundles on a symmetric product", {
-        "--family": _required("family", type=None, choices=("N", "T")),
-        "--points": _required("points"),
-        "--genus": _required("genus"),
-        "--degree": _required("degree", help="degree of the line bundle"),
-        "--h1-of-L": _optional("h1_of_l"),
-    }),
-    ("tangent-cone", "tangent-cone descriptor at a singular stratum",
-     {**_INSTANCE, "--stratum": _required("stratum")}),
-    ("cone", "cone over the secant variety with a linear vertex",
-     {**_INSTANCE, "--vertex-count": _required("vertex_count")}),
-    ("sweep", "evaluate an invariant over a parameter grid", {
-        "--genus-range": _required("genus_range", type=_range_argument),
-        "--degree-range": _required("degree_range", type=_range_argument),
-        "--order-range": _required("order_range", type=_range_argument),
-        "--invariant": _required("invariant", type=None,
-                                 choices=("degree", "generators", "canonical-h0", "hilbert")),
-        "--twist": _optional("twist", 1, help="twist for --invariant hilbert (default 1)"),
-    }),
-    ("validate", "run the full self-validation catalogue", {}),
-)}
-
 
 class _HelpRequested(Exception):
     """``--help`` was given; the one argument is the help text."""
@@ -357,8 +314,9 @@ def build_parser():
 
 @functools.cache
 def _build_parser():
-    """The argparse parser of the option table: the only reader of a line
-    that ``_read`` leaves, and of ``--help``."""
+    """The argparse parser of the command table: the only reader of a line
+    that ``_read`` leaves, and of ``--help``.  Help is laid out for 80
+    columns, whatever the terminal's width."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -375,26 +333,26 @@ def _build_parser():
             raise _HelpRequested(self.format_help())
 
     class _TopParser(_Parser):
-        """The top-level parser; ``commands`` maps each command name to its
-        subparser.  A line that starts with ``--`` and goes on is refused
-        with the message argparse gives it on 3.11 to 3.13.0, on every
-        interpreter: the argparse of 3.13.13 drops the ``--`` and runs the
-        command after it."""
+        """The top-level parser.  A line that starts with ``--`` and goes on
+        is refused with the message argparse gives it on 3.11 to 3.13.0, on
+        every interpreter: the argparse of 3.13.13 drops the ``--`` and runs
+        the command after it."""
 
         def parse_known_args(self, args=None, namespace=None):
             if args and args[0] == "--" and len(args) > 1:
-                choices = ", ".join(map(repr, self.commands))
+                choices = ", ".join(map(repr, _COMMANDS))
                 self.error(f"argument command: invalid choice: '--' (choose from {choices})")
             return super().parse_known_args(args, namespace)
 
+    layout = functools.partial(argparse.HelpFormatter, width=78)  # as COLUMNS=80 gives
     parser = _TopParser(
         prog="secantinv",
         description="Exact invariants of secant varieties of smooth projective curves.",
+        formatter_class=layout,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    parser.commands = sub.choices
-    for name, (help_text, options) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, formatter_class=layout)
         for flag, keywords in options.items():
             command.add_argument(flag, **keywords)
     return parser
@@ -475,26 +433,59 @@ def _handle_validate(args) -> Document:
                     _validate_layout, exit_code=1 if failed else 0)
 
 
-_HANDLERS = {
-    "hilbert": lambda args: Document(
-        {"coefficients": hilbert_polynomial(_instance(args)).to_strings()}, _polynomial_layout),
-    "series": lambda args: Document(hilbert_series(_instance(args)).to_json_dict(), _series_layout),
-    "degree": lambda args: Document({"value": str(variety_degree(_instance(args)))}, _scalar_layout),
-    "generators": lambda args: Document(
-        {"value": str(generator_count(_instance(args)))}, _scalar_layout),
-    "coh-sym": lambda args: Document(
-        sym_secant_table(_instance(args), args.twist).to_json_dict(), _table_layout),
-    "coh-wedge": _handle_coh_wedge,
-    "coh-canonical": lambda args: Document(
-        canonical_twist_table(_instance(args), args.twist).to_json_dict(), _table_layout),
-    "coh-line": _handle_coh_line,
-    "tangent-cone": lambda args: Document(
-        tangent_cone_at(_instance(args), args.stratum).to_json_dict(), _record_layout),
-    "cone": lambda args: Document(
-        cone_over_secant(_instance(args), args.vertex_count).to_json_dict(), _record_layout),
-    "sweep": _handle_sweep,
-    "validate": _handle_validate,
-}
+# --- the command table ------------------------------------------------------
+
+# Every command's help line, its options, in the order its parser lists them,
+# and its handler, which turns the parsed arguments into a Document.
+_COMMANDS = {name: (help_text, {**options, **_DOCUMENT_OPTIONS}, handler)
+             for name, help_text, options, handler in (
+    ("hilbert", "Hilbert polynomial of the secant variety", _INSTANCE, lambda args: Document(
+        {"coefficients": hilbert_polynomial(_instance(args)).to_strings()}, _polynomial_layout)),
+    ("series", "Hilbert series numerator and Krull dimension", _INSTANCE,
+     lambda args: Document(hilbert_series(_instance(args)).to_json_dict(), _series_layout)),
+    ("degree", "degree of the secant variety", _INSTANCE,
+     lambda args: Document({"value": str(variety_degree(_instance(args)))}, _scalar_layout)),
+    ("generators", "minimal generators of the defining ideal", _INSTANCE, lambda args: Document(
+        {"value": str(generator_count(_instance(args)))}, _scalar_layout)),
+    ("coh-sym", "cohomology of symmetric powers of the secant sheaf",
+     {**_INSTANCE, "--twist": _required("twist")}, lambda args: Document(
+        sym_secant_table(_instance(args), args.twist).to_json_dict(), _table_layout)),
+    ("coh-wedge", "cohomology of exterior powers of the secant sheaf", {
+        "--genus": _required("genus"),
+        "--points": _required("points", help="size of the symmetric product"),
+        "--twist": _required("twist", help="exterior power, between 1 and points"),
+        "--degree-of-L": _required("degree_of_l"),
+        "--degree-of-M": _required("degree_of_m"),
+        "--h1-of-L": _optional("h1_of_l"),
+        "--h1-of-M": _optional("h1_of_m"),
+        "--h1-of-LM": _optional("h1_of_lm"),
+    }, _handle_coh_wedge),
+    ("coh-canonical", "canonical-twisted cohomology dimensions",
+     {**_INSTANCE, "--twist": _required("twist")}, lambda args: Document(
+        canonical_twist_table(_instance(args), args.twist).to_json_dict(), _table_layout)),
+    ("coh-line", "cohomology of the N/T line bundles on a symmetric product", {
+        "--family": _required("family", type=None, choices=("N", "T")),
+        "--points": _required("points"),
+        "--genus": _required("genus"),
+        "--degree": _required("degree", help="degree of the line bundle"),
+        "--h1-of-L": _optional("h1_of_l"),
+    }, _handle_coh_line),
+    ("tangent-cone", "tangent-cone descriptor at a singular stratum",
+     {**_INSTANCE, "--stratum": _required("stratum")}, lambda args: Document(
+        tangent_cone_at(_instance(args), args.stratum).to_json_dict(), _record_layout)),
+    ("cone", "cone over the secant variety with a linear vertex",
+     {**_INSTANCE, "--vertex-count": _required("vertex_count")}, lambda args: Document(
+        cone_over_secant(_instance(args), args.vertex_count).to_json_dict(), _record_layout)),
+    ("sweep", "evaluate an invariant over a parameter grid", {
+        "--genus-range": _required("genus_range", type=_range_argument),
+        "--degree-range": _required("degree_range", type=_range_argument),
+        "--order-range": _required("order_range", type=_range_argument),
+        "--invariant": _required("invariant", type=None,
+                                 choices=("degree", "generators", "canonical-h0", "hilbert")),
+        "--twist": _optional("twist", 1, help="twist for --invariant hilbert (default 1)"),
+    }, _handle_sweep),
+    ("validate", "run the full self-validation catalogue", {}, _handle_validate),
+)}
 
 
 def _write_out(path: str, text: str) -> None:
@@ -525,7 +516,7 @@ def _write_stream(out: TextIO, text: str) -> None:
 
 def _read(argv: list[str]) -> Optional[SimpleNamespace]:
     """The namespace argparse gives a well-formed ``argv``, read straight from
-    the option table; None for any other line.  Well-formed: a command name,
+    the command table; None for any other line.  Well-formed: a command name,
     then pairs of an exact flag and its value, each flag once and every
     required one given, no value starting with ``-`` unless it is ``-`` and
     ASCII digits, and every value converted and among its choices."""
@@ -558,18 +549,9 @@ def _read(argv: list[str]) -> Optional[SimpleNamespace]:
 
 def _parse(argv: list[str]):
     """The namespace, usage error or help text that ``build_parser().parse_args``
-    gives for ``argv``.  A well-formed line is read by ``_read`` without
-    argparse.  Any other line that starts with a command name goes straight
-    to that command's parser, which the top-level parser would hand the rest
-    to anyway, so it is parsed once instead of twice."""
-    args = _read(argv)
-    if args is not None:
-        return args
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    return command.parse_args(argv[1:], SimpleNamespace(command=argv[0]))
+    gives for ``argv``: read by ``_read`` without argparse if the line is
+    well-formed, else by argparse."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
@@ -583,7 +565,7 @@ def run(argv: Sequence[str], stdout: Optional[TextIO] = None,
         except _HelpRequested as request:
             _write_stream(out, request.args[0])
             return 0
-        document = _HANDLERS[args.command](args)
+        document = _COMMANDS[args.command][2](args)
         rendered = document.render(args.format)
         if args.out:
             _write_out(args.out, rendered)

@@ -403,15 +403,14 @@ def binomial_poly(shift: int, lower: int) -> QPolynomial:
 
     Evaluating it at any integer t0 agrees with ``binomial(t0 + shift, lower)``.
     ``lower`` is at most 401, the highest degree chi has (2k+1 at order 200).
+    Held as its forward differences on -shift, -shift+1, ...: all zero but
+    D_lower = 1.
     """
     if lower < 0:
         raise ValueError("lower index of binomial_poly must be nonnegative")
     if lower > 401:
         raise ValueError("lower index of binomial_poly must be at most 401")
-    poly = QPolynomial.constant(1)
-    for i in range(lower):
-        poly = poly * QPolynomial((Fraction(shift - i), Fraction(1)))
-    return poly * Fraction(1, math.factorial(lower))
+    return QPolynomial._forward(-shift, [0] * lower + [1])
 
 
 def lagrange_interpolate(

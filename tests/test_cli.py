@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from secantinv import (DomainError, QPolynomial, SecantInstance, UsageError, hilbert_polynomial,
                        hilbert_series)
-from secantinv.cli import (_HANDLERS, FORMATS, Document, _HelpRequested, _parse, _read,
+from secantinv.cli import (_COMMANDS, FORMATS, Document, _HelpRequested, _parse, _read,
                            build_parser, run)
 from secantinv.validation import CheckResult
 
@@ -390,7 +390,7 @@ class TestAdmissionLimits:
         for twist in (10**4300, -10**4300):
             args.twist = twist
             with pytest.raises(DomainError, match="^twist has more than 4000 digits$"):
-                _HANDLERS["sweep"](args)
+                _COMMANDS["sweep"][2](args)
 
     def test_largest_admitted_vertex_count(self):
         code, out, err = invoke(["cone", "--genus", "0", "--degree", "4", "--order", "1",
@@ -529,15 +529,17 @@ class TestSharedParser:
         assert reused[0] == 2 and reused[2].startswith("error: ambiguous-bundle:")
 
     # sha256 of ``--help`` and then every ``<command> --help``, in the order
-    # the commands are listed, at COLUMNS=80; argparse words help differently
-    # from 3.13 on, and that digest is pinned by its first eight hex digits
+    # the commands are listed, laid out for 80 columns at any terminal width;
+    # argparse words help differently from 3.13 on, and that digest is pinned
+    # by its first eight hex digits
     HELP_DIGEST = ("c5c755dc286b0a0a043bf549966012b7c89da096b02b409dcf8d87031167a1d5"
                    if sys.version_info < (3, 13) else "2e5a0aeb")
 
-    def test_help_text_is_pinned(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_help_text_is_pinned(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
         texts = []
-        for argv in [["--help"], *([name, "--help"] for name in build_parser().commands)]:
+        for argv in [["--help"], *([name, "--help"] for name in _COMMANDS)]:
             code, out, err = invoke(argv)
             assert (code, err) == (0, ""), argv
             texts.append(out)
@@ -605,8 +607,7 @@ def _drawn_lines(draw, command):
     option the base lacks, a value from the pool."""
     words = _DISPATCH_BASES[command].split()
     own = dict(zip(words[::2], words[1::2]))
-    others = sorted(action.option_strings[-1] for action in build_parser().commands[command]._actions
-                    if action.dest != "help" and action.option_strings[-1] not in own)
+    others = sorted(flag for flag in _COMMANDS[command][1] if flag not in own)
     line = [command]
     for flag in draw(st.permutations([*own, *draw(st.lists(st.sampled_from(others), max_size=2))])):
         for _ in range(draw(st.sampled_from((1, 1, 1, 1, 1, 1, 0, 2)))):
@@ -617,11 +618,11 @@ def _drawn_lines(draw, command):
 
 class TestDirectDispatch:
     """A command line that starts with a command name is read from the
-    option table, or parsed by that command's parser alone; either way it
-    must give what the top-level parser gives."""
+    command table, or parsed by argparse; either way it must give what the
+    top-level parser gives."""
 
     def test_every_command_has_a_base(self):
-        assert set(_DISPATCH_BASES) == set(_HANDLERS) == set(build_parser().commands)
+        assert set(_DISPATCH_BASES) == set(_COMMANDS)
 
     @pytest.mark.parametrize("command", sorted(_DISPATCH_BASES))
     def test_same_outcome_as_the_top_level_parser(self, command):
@@ -641,6 +642,14 @@ class TestDirectDispatch:
         outcome = _parse_outcome(_parse, argv)
         assert outcome == _parse_outcome(build_parser().parse_args, argv)
         assert outcome[0] in ("usage", "help")
+
+    def test_a_leading_double_dash_is_refused_on_every_interpreter(self):
+        # as argparse words it up to 3.13.0, the commands in the table's order
+        code, out, err = invoke(["--", "degree", "--genus", "2", "--degree", "9", "--order", "1"])
+        assert (code, out) == (2, "")
+        assert err == ("error: usage: argument command: invalid choice: '--' (choose from "
+                       "'hilbert', 'series', 'degree', 'generators', 'coh-sym', 'coh-wedge', "
+                       "'coh-canonical', 'coh-line', 'tangent-cone', 'cone', 'sweep', 'validate')\n")
 
     @pytest.mark.parametrize("command", sorted(_DISPATCH_BASES))
     def test_drawn_lines_agree_with_the_top_level_parser(self, command):
@@ -665,7 +674,8 @@ class TestErrorTaxonomy:
         def broken(args):
             raise InternalMismatch("forced disagreement")
 
-        monkeypatch.setitem(cli_mod._HANDLERS, "degree", broken)
+        help_text, options, _ = cli_mod._COMMANDS["degree"]
+        monkeypatch.setitem(cli_mod._COMMANDS, "degree", (help_text, options, broken))
         code, out, err = invoke(["degree", "--genus", "0", "--degree", "4", "--order", "1"])
         assert code == 3
         assert out == ""
@@ -1065,7 +1075,7 @@ def test_every_format_is_a_view_of_the_json(monkeypatch, argv, fmt):
     every format, so the layouts read nothing but JSON data."""
     monkeypatch.setattr("secantinv.validation.run_catalogue", lambda: list(_STUB_CHECKS))
     args = build_parser().parse_args(argv.split())
-    document = _HANDLERS[args.command](args)
+    document = _COMMANDS[args.command][2](args)
     rebuilt = Document(json.loads(document.render("json")), document.layout)
     assert rebuilt.render(fmt) == document.render(fmt)
 

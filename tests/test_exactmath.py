@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -66,7 +67,22 @@ class TestBinomialPoly:
         with pytest.raises(ValueError):
             binomial_poly(0, -1)
 
-    # 401 = 2*200+1, the highest degree chi has; the product takes time
+    @pytest.mark.parametrize("lower", [*range(25), 401])
+    def test_equals_the_product_of_its_linear_factors(self, lower):
+        # the reference: (t+shift)(t+shift-1)...(t+shift-lower+1) / lower!
+        for shift in (-12, -1, 0, 1, 5, 12) if lower <= 24 else (3,):
+            product = QPolynomial.constant(1)
+            for i in range(lower):
+                product = product * QPolynomial((Fraction(shift - i), Fraction(1)))
+            product = product * Fraction(1, math.factorial(lower))
+            poly = binomial_poly(shift, lower)
+            assert (poly.denominator, poly.numerators) == (product.denominator, product.numerators)
+            assert poly == product and hash(poly) == hash(product)
+            assert (poly.degree, poly.leading_coefficient) == (lower, product.leading_coefficient)
+            assert repr(poly) == repr(product)
+            assert poly(Fraction(1, 3)) == product(Fraction(1, 3))
+
+    # 401 = 2*200+1, the highest degree chi has; the expansion takes time
     # quadratic in lower, so a larger one is refused before any of it
     @pytest.mark.parametrize("lower", [402, 10**6, 10**4300], ids=["402", "10**6", "10**4300"])
     def test_lower_above_the_top_chi_degree_rejected(self, lower):
