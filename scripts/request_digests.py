@@ -36,9 +36,17 @@ digest; ``DIGESTS`` holds the values of today's engine.  The sets:
 * ``cohomology``: 6,552 ``coh-sym`` (twists 0, 1, 2, 10**6) and
   ``coh-canonical`` (twists 1, 2, 10**6) requests in all four formats, on
   g <= 8, k <= 12, d = 2g+2k+1 and 2g+2k+2, looped in that order; about 0.5 s.
+* ``rational``: 126 ``lagrange_interpolate`` calls off the engine's route,
+  on 1..12, 20 and 30 nodes of nine kinds: rational abscissae, abscissae and
+  ordinates of mixed types (int, ``Fraction``, string, float, bool), and
+  evenly spaced abscissae (integer steps 1, 2, -3 and rational steps 2/3
+  and -5/4).  Each adds one line to the sha256, in UTF-8: the result's
+  wire strings, comma-separated, then ``|``, then its values at eight fixed
+  rational points, comma-separated, then a newline; about 0.15 s.
 
-``instances``, ``sweeps``, ``refusals``, ``tables``, ``engine``, ``box`` and
-``cohomology`` take about 2.5 s together, and ``tests/test_request_digests.py`` pins them.
+``instances``, ``sweeps``, ``refusals``, ``tables``, ``engine``, ``box``,
+``cohomology`` and ``rational`` take about 2.5 s together, and
+``tests/test_request_digests.py`` pins them.
 
 Usage, from the repository root::
 
@@ -53,9 +61,11 @@ from __future__ import annotations
 import hashlib
 import io
 import sys
+from fractions import Fraction
 from typing import Callable, Iterator
 
-from secantinv import SecantInstance, cli, hilbert_polynomial, node_values
+from secantinv import (SecantInstance, cli, format_rational, hilbert_polynomial,
+                       lagrange_interpolate, node_values)
 
 FORMATS = ("text", "json", "csv", "latex")
 
@@ -72,6 +82,7 @@ DIGESTS = {
     "engine": "c603f12f03582f4284cf60bbcc6eb098a6fd5741e33eedcaae846da04873f8fc",
     "box": "1d0c82e37504d981e5441bc0ab4caf36a4a027d969a80202b10b54e39a480b8f",
     "cohomology": "2a684b4cfe987302c0babb7730648f3ea5679e2a1c5b4d3031ddd51aaf7526df",
+    "rational": "79a5b61da3b503b89d3905289b6b72fb84aee78e24ccfb6d32db116b3b4b339b",
 }
 
 
@@ -205,6 +216,42 @@ def engine_records() -> Iterator[tuple[str, bool]]:
                        + ",".join(map(str, node_values(inst).entries)) + "\n"), True
 
 
+def _spelled(value: Fraction, kind: int) -> object:
+    """``value`` as one of the types an interpolation node may carry, by
+    ``kind``: int or bool where it is whole, else float where that is
+    exact, else a string; or the ``Fraction`` itself."""
+    if kind == 0:
+        if value.denominator == 1:
+            return bool(value) if value in (0, 1) else int(value)
+        return float(value) if value.denominator in (2, 4, 8) else str(value)
+    return str(value) if kind == 1 else value
+
+
+def rational_records() -> Iterator[tuple[str, bool]]:
+    points = [Fraction(-7, 3), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(5, 4),
+              Fraction(3), Fraction(22, 7), Fraction(-40, 9)]
+    for size in (*range(1, 13), 20, 30):
+        js = range(size)
+        ordinates = [Fraction((-1) ** j * (3 * j + 1), 2 * j + 5) for j in js]
+        node_sets = [
+            [(Fraction(j * j + 1, j + 2), y) for j, y in zip(js, ordinates)],
+            [(Fraction(-j * j - 3, 2 * j + 5), Fraction(j * j * j - 4 * j + 2)) for j in js],
+            [(_spelled(Fraction(3 * j - 7, 2), j % 3), _spelled(y, (j + 1) % 3))
+             for j, y in zip(js, ordinates)],
+            [(_spelled(Fraction(5 - 2 * j, 4), j % 3), _spelled(Fraction(j % 2), j % 3))
+             for j in js],
+            [(j - 3, j * j * j - 5 * j + 1) for j in js],
+            [(2 * j - 5, y) for j, y in zip(js, ordinates)],
+            [(7 - 3 * j, 2 * j * j - 11) for j in js],
+            [(Fraction(1, 2) + Fraction(2, 3) * j, Fraction(j * j - 3, 5)) for j in js],
+            [(Fraction(3, 7) - Fraction(5, 4) * j, y) for j, y in zip(js, ordinates)],
+        ]
+        for nodes in node_sets:
+            poly = lagrange_interpolate(nodes)
+            yield (",".join(poly.to_strings()) + "|"
+                   + ",".join(format_rational(poly(x)) for x in points) + "\n"), True
+
+
 def _responses(requests: Callable[[], Iterator[list[str]]]) -> Records:
     """The records of a command-line set: each request's repr line, and
     whether it exits 0."""
@@ -225,6 +272,7 @@ SETS: dict[str, Records] = {
     "engine": engine_records,
     "box": _responses(box_requests),
     "cohomology": _responses(cohomology_requests),
+    "rational": rational_records,
 }
 
 

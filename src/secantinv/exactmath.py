@@ -17,20 +17,19 @@ and the value at an integer read the differences, a value as one integer
 sum.  The monomial form is built once, on the first read of ``numerators``
 or ``denominator``.
 
-Every monomial form that comes from Newton coefficients, the scaled
-differences D_m n!/m! over n! or the table of an interpolation on other
-nodes, is built by one routine, :func:`_expanded`: it expands the Newton
-form into monomials and certifies the expansion by its inverse, synthetic
-division back to the Newton coefficients.
+Every monomial form that comes from Newton coefficients is built by one
+routine, :func:`_expanded`: it expands the Newton form into monomials and
+certifies the expansion by its inverse, synthetic division back to the
+Newton coefficients.
 
-Equality, sums and products, evaluation (:meth:`QPolynomial.__call__`) and
-:func:`lagrange_interpolate` run on Python ints: evaluation is Horner's rule
-on the integer form and builds one ``Fraction``.  Interpolation, one of the
-two routes of every chi build, runs a divided-difference table that divides
-nothing.  On integer nodes at unit steps each column only subtracts and
-leaves the forward differences, which are returned as they are.  On any
-other nodes each column is scaled by the lcm of its gaps; then comes the one
-certified expansion, and the result is in monomial form.
+Integers are kept on chi's route, since chi is integer-valued and built
+from integer node values: interpolation on ``int`` nodes at unit steps, one
+of chi's two routes, only subtracts and returns the forward differences,
+and their monomial form expands the integer Newton coefficients D_m n!/m!
+and divides by n! once.  Off that route, which no chi build takes, the code
+is the textbook one over ``Fraction``: interpolation on any other nodes
+runs Newton's divided-difference table, and a value anywhere but at an
+integer of a difference form is Horner's rule on the coefficients.
 :func:`finite_difference_numerator` derives a series numerator from values;
 the engine reads its numerator from the node values instead, and ``validate``
 and the tests compare the two.
@@ -219,9 +218,10 @@ class QPolynomial(_Frozen):
     def __getattr__(self, name: str) -> object:
         """Reached only for an attribute the instance lacks: a polynomial held
         as its forward differences D_0..D_n on a, a+1, ... builds its integer
-        form on the first read of either field.  D_m is scaled to the Newton
-        coefficient D_m n!/m! over n! on those abscissae, and the one
-        certified expansion, :func:`_expanded`, does the rest."""
+        form on the first read of either field.  D_m is scaled to the integer
+        Newton coefficient D_m n!/m! on those abscissae, the one certified
+        expansion, :func:`_expanded`, gives n! times the monomial
+        coefficients, and they are reduced over n!."""
         if name not in ("numerators", "denominator") or not self._differences:
             raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
         first, coefficients = self._differences
@@ -232,8 +232,7 @@ class QPolynomial(_Frozen):
             denominator *= m
         if coefficients:
             coefficients[0] *= denominator
-        monomial = _expanded(coefficients, range(first, first + len(coefficients)), denominator)
-        self.__dict__.update(denominator=monomial.denominator, numerators=monomial.numerators)
+        self._reduce(_expanded(coefficients, range(first, first + len(coefficients))), denominator)
         return self.__dict__[name]
 
     def _reduce(self, numerators: Sequence[int], denominator: int) -> None:
@@ -314,22 +313,16 @@ class QPolynomial(_Frozen):
         return value
 
     def __call__(self, point: RationalLike) -> Fraction:
-        """Value at ``point``: Horner's rule on the integer numerators, with
-        the point p/q homogenized, so that acc = D * q^n * value after the
-        last step; at an integer, a polynomial held as its forward differences
-        is evaluated by :meth:`_at`."""
+        """Value at ``point``: at an integer, a polynomial held as its forward
+        differences is evaluated in integers by :meth:`_at`; anywhere else,
+        Horner's rule on the coefficients."""
         if type(point) is int and self._differences:
             return Fraction(self._at(point))
-        if not self.numerators:
-            return Fraction(0)
         x = point if isinstance(point, (int, Fraction)) else Fraction(point)
-        p, q = x.numerator, x.denominator
-        acc = 0
-        q_power = 1  # q^j at the coefficient j places below the top
-        for c in reversed(self.numerators):
-            acc = acc * p + c * q_power
-            q_power *= q
-        return Fraction(acc, self.denominator * (q_power // q))
+        value = Fraction(0)
+        for c in reversed(self.coefficients):
+            value = value * x + c
+        return value
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         common = math.lcm(self.denominator, other.denominator)
@@ -418,22 +411,18 @@ def lagrange_interpolate(
 ) -> QPolynomial:
     """Unique polynomial of degree <= len(nodes)-1 through the given nodes.
 
-    Computed by Newton divided differences, division-free.  On ``int`` nodes
-    whose abscissae increase by 1, every column of the table only subtracts,
-    column r ends as the r-th forward difference D_r of the ordinates, and
-    the result is held as D_0..D_{n-1} on the first abscissa.  On any other
-    nodes the abscissae and ordinates are scaled to integers u_j and v_j, and
-    column r of the table multiplies each difference by lcm_r / (u_i -
-    u_{i-r}), where lcm_r is the lcm of that column's gaps (on abscissae
-    that increase by a step h, every gap is r*h and every multiplier 1).
-    Column r then holds M_r times the divided differences of order r, with
-    the running scale M_r = M_{r-1} * lcm_r and M_0 = 1, and every entry is
-    an integer.  Coefficient r, scaled by M / M_r over M, M the last M_r, is
-    the Newton coefficient on the u_j, and :func:`_expanded` turns those
-    into the certified monomial form.  Either way the result reproduces
-    every node ordinate with zero error.  Raises :class:`DuplicateNode` if
-    two abscissae coincide, and :class:`InternalMismatch` if the expansion
-    fails its certificate.
+    Computed by Newton divided differences.  On ``int`` nodes whose
+    abscissae increase by 1, the nodes of every chi build, each column of the
+    table only subtracts, in integers: column r ends as the r-th forward
+    difference D_r of the ordinates, and the result is held as D_0..D_{n-1}
+    on the first abscissa.  On any other nodes the table is the textbook one
+    over ``Fraction``, each column dividing its differences by their gaps,
+    and :func:`_expanded` turns its Newton coefficients into the certified
+    monomial form.  Either way the result reproduces every node ordinate
+    with zero error.  An abscissa or ordinate that ``Fraction`` cannot read
+    raises its ``ValueError`` or ``TypeError``; then :class:`DuplicateNode`
+    is raised if two abscissae coincide, and :class:`InternalMismatch` if
+    the expansion fails its certificate.
     """
     if not nodes:
         raise ValueError("lagrange_interpolate requires at least one node")
@@ -444,57 +433,33 @@ def lagrange_interpolate(
         for order in range(1, len(differences)):
             differences[order:] = map(operator.sub, differences[order:], differences[order - 1:-1])
         return QPolynomial._forward(first, differences)
-    # ints and Fractions are read as they are; anything else ("1/2", say) is parsed
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x, _ in nodes]
-    ys = [y if isinstance(y, (int, Fraction)) else Fraction(y) for _, y in nodes]
-
-    # With u_j = x_scale * x_j and v_j = y_scale * y_j, the result is
-    # p(x_scale * t) / y_scale for the integer-node interpolant p.
-    x_scale = math.lcm(*(x.denominator for x in xs))
-    y_scale = math.lcm(*(y.denominator for y in ys))
-    us = [x.numerator * (x_scale // x.denominator) for x in xs]
+    xs = [Fraction(x) for x, _ in nodes]  # a string such as "1/2" is parsed
+    coef = [Fraction(y) for _, y in nodes]  # in place: coef[i] ends as y[x_0, ..., x_i]
     n = len(nodes)
-    if len(set(us)) != n:  # u_j = u_m exactly when x_j = x_m
+    if len(set(xs)) != n:
         raise DuplicateNode("interpolation abscissae must be pairwise distinct")
-
-    # Divided-difference table, in place: coef[i] ends as M_i * v[u_0, ..., u_i].
-    coef = [y.numerator * (y_scale // y.denominator) for y in ys]
-    lcms = []  # lcm_1..lcm_{n-1}, each positive
     for order in range(1, n):
-        gaps = [us[i] - us[i - order] for i in range(order, n)]
-        lcm = math.lcm(*gaps)
-        lcms.append(lcm)
         for i in range(n - 1, order - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * (lcm // gaps[i - order])
-
-    scale = 1  # M / M_r, from r = n-1 down; it ends as M
-    for r in range(n - 1, -1, -1):
-        coef[r] *= scale
-        if r:
-            scale *= lcms[r - 1]
-    return _expanded(coef, us, scale * y_scale, x_scale)
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - order])
+    return QPolynomial(_expanded(coef, xs))
 
 
-def _expanded(coefficients: Sequence[int], abscissae: Sequence[int], denominator: int,
-              scale: int = 1) -> QPolynomial:
-    """The polynomial sum_r c_r prod_{i<r} (s*t - a_i) / D, for integer
-    Newton coefficients c_r and abscissae a_i, at least as many abscissae as
-    coefficients, a positive D and a positive s, in its integer form: the
-    one expansion into monomials in u = s*t, certified by its inverse, then
-    coefficient j times s^j, reduced by one gcd.  Raises
-    :class:`InternalMismatch` if the certificate fails."""
-    numerators = _newton_to_monomial(coefficients, abscissae)
-    if not _monomial_to_newton_matches(numerators, coefficients, abscissae):
+def _expanded(coefficients: Sequence[RationalLike],
+              abscissae: Sequence[RationalLike]) -> list[RationalLike]:
+    """Ascending monomial coefficients of the Newton form sum_r c_r prod_{i<r}
+    (t - a_i), for at least as many abscissae as coefficients: the one
+    expansion into monomials, certified by its inverse.  They are integers
+    on chi's route, where the c_r and a_i are, and ``Fraction`` objects on
+    interpolation's general route.  Raises :class:`InternalMismatch` if the
+    certificate fails."""
+    monomial = _newton_to_monomial(coefficients, abscissae)
+    if not _monomial_to_newton_matches(monomial, coefficients, abscissae):
         raise InternalMismatch("the monomial and Newton forms of a polynomial differ")
-    if scale != 1:  # every chi expansion has scale 1
-        power = 1
-        for j in range(1, len(numerators)):
-            power *= scale
-            numerators[j] *= power
-    return QPolynomial._over(numerators, denominator)
+    return monomial
 
 
-def _newton_to_monomial(coefficients: Sequence[int], abscissae: Sequence[int]) -> list[int]:
+def _newton_to_monomial(coefficients: Sequence[RationalLike],
+                        abscissae: Sequence[RationalLike]) -> list[RationalLike]:
     """Ascending monomial coefficients of sum_r c_r prod_{i<r} (u - a_i), by
     the nest P_r = c_r + (u - a_r) P_{r+1} from the top coefficient down:
     the one expansion of a Newton form into monomials.  Each step rewrites
@@ -513,8 +478,9 @@ def _newton_to_monomial(coefficients: Sequence[int], abscissae: Sequence[int]) -
     return poly
 
 
-def _monomial_to_newton_matches(monomial: Sequence[int], coefficients: Sequence[int],
-                                abscissae: Sequence[int]) -> bool:
+def _monomial_to_newton_matches(monomial: Sequence[RationalLike],
+                                coefficients: Sequence[RationalLike],
+                                abscissae: Sequence[RationalLike]) -> bool:
     """Whether ``monomial``, ascending, is the expansion of the Newton form
     sum_r c_r prod_{i<r} (u - a_i): synthetic division by u - a_0, u - a_1,
     ... must leave c_0, c_1, ... as its remainders, and nothing after the

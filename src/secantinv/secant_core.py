@@ -357,9 +357,9 @@ def _chi(genus: int, degree: int, order: int) -> QPolynomial:
         )
     form = closed._differences
     if not (form and len(form[1]) == 2 * order + 2 and form[1][-1] > 0):
-        raise InternalMismatch(
+        raise InternalMismatch(  # coefficient(-1) is 0, so a zero chi is named too
             f"chi for ({genus}, {degree}, {order}) has degree {closed.degree} "
-            f"and leading coefficient {closed.leading_coefficient}"
+            f"and leading coefficient {closed.coefficient(closed.degree)}"
         )
     return closed
 

@@ -106,16 +106,22 @@ class TestQPolynomial:
         assert p - p == QPolynomial.zero()
         assert 3 * p == QPolynomial([3, 3])
 
-    def test_evaluation_horner(self):
+    @pytest.mark.parametrize("point, value", [
+        (2, 1 + 4 + 6 + 4),
+        ("1/2", Fraction(39, 16)),
+        (0.5, Fraction(39, 16)),
+        (True, 5),
+    ], ids=["int", "string", "float", "bool"])
+    def test_evaluation_horner(self, point, value):
         p = QPolynomial([1, 2, Fraction(3, 2), Fraction(1, 2)])
-        assert p(2) == 1 + 4 + 6 + 4
+        assert p(point) == value and type(p(point)) is Fraction
 
     def test_evaluation_leaves_equality_hash_and_repr(self):
         p = QPolynomial([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)])
         q = QPolynomial.from_strings(p.to_strings())
         assert p(Fraction(7, 3)) == Fraction(1, 2) - Fraction(7, 4) + Fraction(245, 54)
         assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
-        assert p(-2) == q(-2)  # q scaled on its first call, p reuses its scaling
+        assert p(-2) == q(-2)  # evaluation reads the coefficients and changes no field
         assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
 
     def test_divide_by_linear(self):
@@ -295,6 +301,7 @@ class TestLagrange:
         poly = lagrange_interpolate([(-1, 0), (0, 1), (1, 5), (2, 15)])
         assert poly.degree == 3
         assert poly(3) == 34
+        assert poly(Fraction(1, 2)) == Fraction(39, 16)  # off the integers, held as differences
 
     def test_reproduces_every_node_exactly(self):
         nodes = [
@@ -321,13 +328,25 @@ class TestLagrange:
         with pytest.raises(DuplicateNode):
             lagrange_interpolate([(a, 2), (0, 1), (b, 3)])
 
-    def test_string_nodes_are_parsed(self):
-        poly = lagrange_interpolate([("1/2", 1), (1, "3"), (Fraction(5, 3), 0)])
-        assert poly.to_strings() == ["-65/14", "209/14", "-51/7"]
+    @pytest.mark.parametrize("nodes, strings", [
+        ([("1/2", 1), (1, "3"), (Fraction(5, 3), 0)], ["-65/14", "209/14", "-51/7"]),
+        ([(True, 1), (2, 3)], ["-1", "2"]),
+        ([(0.5, 1), (2, 3)], ["1/3", "4/3"]),
+        ([(0, 1), (2, 5), (4, 17)], ["1", "0", "1"]),
+        ([(3, 10), (0, 1), (-3, 10)], ["1", "0", "1"]),
+    ], ids=["strings", "bool-abscissa", "float-abscissa", "int-step-2", "int-step-minus-3"])
+    def test_nodes_off_the_unit_step_int_front(self, nodes, strings):
+        assert lagrange_interpolate(nodes).to_strings() == strings
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lagrange_interpolate([])
+    @pytest.mark.parametrize("nodes, error", [
+        ([], ValueError),
+        # an ordinate that does not parse is refused before the duplicate abscissa
+        ([(1, "zz"), (1, 2)], ValueError),
+        ([(0, None), (1, 2)], TypeError),
+    ], ids=["empty", "unparseable-ordinate", "none-ordinate"])
+    def test_unreadable_nodes_rejected(self, nodes, error):
+        with pytest.raises(error):
+            lagrange_interpolate(nodes)
 
     @pytest.mark.parametrize("nodes", [
         [(Fraction(-3, 2), Fraction(7, 5)), (0, -2), (Fraction(1, 3), 11), (4, 0)],

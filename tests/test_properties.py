@@ -262,10 +262,9 @@ def evenly_spaced_nodes(draw):
 @checked
 @given(evenly_spaced_nodes())
 def test_evenly_spaced_interpolation_matches_naive_fraction_lagrange(points):
-    """On abscissae that increase evenly every gap of column r is r times
-    the step, so every multiplier of the table is 1; other abscissae scale
-    each column by the lcm of its gaps.  Either way the result
-    is the certified monomial form over a positive denominator: its degree,
+    """On evenly spaced rational abscissae, off the unit-step int front,
+    the divided-difference table runs over ``Fraction``s and the result is
+    the certified monomial form over a positive denominator: its degree,
     leading coefficient and integer values are the twin's, and it equals,
     and hashes as, its monomial twin."""
     poly = lagrange_interpolate(points)

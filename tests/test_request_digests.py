@@ -27,6 +27,7 @@ def recipe():
     ("engine", 693, 693),
     ("box", 16, 16),
     ("cohomology", 6552, 6552),
+    ("rational", 126, 126),
 ])
 def test_request_set_keeps_its_bytes(recipe, name, count, succeeded):
     assert recipe.digest(name) == (count, succeeded, recipe.DIGESTS[name])

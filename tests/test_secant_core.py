@@ -1133,6 +1133,28 @@ class TestDualRouteGuard:
             monkeypatch.undo()
             core._chi.cache_clear()
 
+    def test_zero_chi_is_detected(self, monkeypatch):
+        # both routes agree on the zero polynomial, which has no leading
+        # coefficient: the guard still names the shape, and the CLI exits 3
+        import secantinv.secant_core as core
+        from secantinv.cli import run
+
+        monkeypatch.setattr(core, "_closed_form", lambda genus, degree, order: QPolynomial.zero())
+        monkeypatch.setattr(core, "lagrange_interpolate", lambda nodes: QPolynomial.zero())
+        core._chi.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with pytest.raises(InternalMismatch, match="has degree -1 and leading coefficient 0"):
+                core.hilbert_polynomial(SecantInstance(2, 9, 1))
+            code = run(["degree", "--genus", "2", "--degree", "9", "--order", "1"],
+                       stdout=out, stderr=err)
+        finally:
+            monkeypatch.undo()
+            core._chi.cache_clear()
+        assert (code, out.getvalue()) == (3, "")
+        assert err.getvalue() == ("error: internal-mismatch: chi for (2, 9, 1) has degree -1 "
+                                  "and leading coefficient 0\n")
+
 
 class TestPinnedChi:
     """sha256 of chi's comma-joined wire strings, recorded with the engine
