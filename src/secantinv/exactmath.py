@@ -412,11 +412,13 @@ def lagrange_interpolate(
     """Unique polynomial of degree <= len(nodes)-1 through the given nodes.
 
     Computed by Newton divided differences.  On ``int`` nodes whose
-    abscissae increase by 1, the nodes of every chi build, each column of the
-    table only subtracts, in integers: column r ends as the r-th forward
-    difference D_r of the ordinates, and the result is held as D_0..D_{n-1}
-    on the first abscissa.  On any other nodes the table is the textbook one
-    over ``Fraction``, each column dividing its differences by their gaps,
+    abscissae increase by 1, the nodes of every chi build, the table is one
+    list of the ordinates, and each column only subtracts, in place and in
+    integers, carrying the entry it overwrites: column r ends as the r-th
+    forward difference D_r of the ordinates, and the result is held as
+    D_0..D_{n-1} on the first abscissa.  From the first node off that front,
+    the table is instead the textbook one over ``Fraction``, built from
+    every node, each column dividing its differences by their gaps,
     and :func:`_expanded` turns its Newton coefficients into the certified
     monomial form.  Either way the result reproduces every node ordinate
     with zero error.  An abscissa or ordinate that ``Fraction`` cannot read
@@ -427,11 +429,18 @@ def lagrange_interpolate(
     if not nodes:
         raise ValueError("lagrange_interpolate requires at least one node")
     first = nodes[0][0]
-    if all(type(x) is int and type(y) is int and x == first + j
-           for j, (x, y) in enumerate(nodes)):
-        differences = [y for _, y in nodes]
+    differences = []
+    for j, (x, y) in enumerate(nodes):
+        if not (type(x) is int and type(y) is int and x == first + j):
+            break
+        differences.append(y)
+    else:
         for order in range(1, len(differences)):
-            differences[order:] = map(operator.sub, differences[order:], differences[order - 1:-1])
+            previous = differences[order - 1]
+            for i in range(order, len(differences)):
+                current = differences[i]
+                differences[i] = current - previous
+                previous = current
         return QPolynomial._forward(first, differences)
     xs = [Fraction(x) for x, _ in nodes]  # a string such as "1/2" is parsed
     coef = [Fraction(y) for _, y in nodes]  # in place: coef[i] ends as y[x_0, ..., x_i]

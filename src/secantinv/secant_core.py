@@ -330,13 +330,16 @@ def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
 
     On the unit-spaced node twists -k..k+1, chi(t) = sum_{m=0..n} D_m C(t+k, m)
     with n = 2k+1 and D_m the m-th forward difference of the node values at
-    twist -k; chi is held as D_0..D_n.
+    twist -k; chi is held as D_0..D_n.  The node row is copied into one list
+    and differenced in place: pass m reads D_m off its head, then leaves the
+    (m+1)-th differences in its first n-m entries.
     """
-    row = _node_values(genus, degree, order)
+    row = list(_node_values(genus, degree, order))
     differences = []  # D_0..D_n
-    for _ in range(2 * order + 2):
+    for live in range(2 * order + 1, -1, -1):
         differences.append(row[0])
-        row = list(map(operator.sub, row[1:], row[:-1]))
+        for i in range(live):
+            row[i] = row[i + 1] - row[i]
     return QPolynomial._forward(-order, differences)
 
 
@@ -348,9 +351,7 @@ def _chi(genus: int, degree: int, order: int) -> QPolynomial:
     integers read it, and its monomial form is built on first read."""
     closed = _closed_form(genus, degree, order)
     nodes = _node_values(genus, degree, order)
-    interpolated = lagrange_interpolate(
-        [(index - order, value) for index, value in enumerate(nodes)]
-    )
+    interpolated = lagrange_interpolate(list(zip(range(-order, order + 2), nodes)))
     if closed != interpolated:  # named, not printed: chi at order 200 prints in about 470 kB
         raise InternalMismatch(
             f"closed form and interpolant disagree for (g, d, k) = ({genus}, {degree}, {order})"

@@ -334,7 +334,16 @@ class TestLagrange:
         ([(0.5, 1), (2, 3)], ["1/3", "4/3"]),
         ([(0, 1), (2, 5), (4, 17)], ["1", "0", "1"]),
         ([(3, 10), (0, 1), (-3, 10)], ["1", "0", "1"]),
-    ], ids=["strings", "bool-abscissa", "float-abscissa", "int-step-2", "int-step-minus-3"])
+        # on the front for the first nodes, off it at the last: the ordinates
+        # read before the break do not reach the general route's table
+        ([(0, 1), (1, 2), (3, 5)], ["1", "5/6", "1/6"]),
+        ([(0, 1), (1, 2), (2, Fraction(5, 2))], ["1", "5/4", "-1/4"]),
+        ([(0, 1), (1, True)], ["1"]),
+        ([(2, 4), (1, 1), (0, 0)], ["0", "0", "1"]),
+        ([(0, 1), (1, 2), (Fraction(2), 5)], ["1", "0", "1"]),
+    ], ids=["strings", "bool-abscissa", "float-abscissa", "int-step-2", "int-step-minus-3",
+            "gap-at-third", "fraction-third-ordinate", "bool-ordinate", "descending-unit-step",
+            "fraction-third-abscissa"])
     def test_nodes_off_the_unit_step_int_front(self, nodes, strings):
         assert lagrange_interpolate(nodes).to_strings() == strings
 

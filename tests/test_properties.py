@@ -4,7 +4,9 @@ run checks the same instances; the fixed grids in the other test files stay
 the primary coverage.  Four tests near the end compare the integer form,
 evaluation and interpolation of :mod:`secantinv.exactmath`, on any and on
 evenly spaced abscissae, with naive ``Fraction`` versions written here; the
-last reads chi's forward differences against its certified monomial form."""
+next reads chi's forward differences against its certified monomial form,
+and the last two check both of chi's differencing kernels against the
+binomial sum for forward differences."""
 
 import math
 from fractions import Fraction
@@ -339,3 +341,50 @@ def test_difference_form_reads_like_its_certified_monomial_form(g, k, data):
         assert read == value and type(read) is Fraction
         if t > 0:
             assert hilbert_function(inst, t) == value
+
+
+def forward_differences(ys):
+    """D_0..D_{n-1} of ``ys`` by the binomial sum D_m = sum_i (-1)^(m-i)
+    C(m, i) y_i, with the top zeros dropped: an oracle that shares no
+    differencing loop with the two kernels it checks."""
+    differences = [sum((-1) ** (m - i) * math.comb(m, i) * ys[i] for i in range(m + 1))
+                   for m in range(len(ys))]
+    while differences and not differences[-1]:
+        differences.pop()
+    return tuple(differences)
+
+
+@st.composite
+def int_rows(draw):
+    """Int rows of 1 to 60 values up to 10**80 in size, sometimes all zero
+    or all equal, so that the top differences vanish."""
+    n = draw(st.integers(1, 60))
+    big = st.integers(-10**80, 10**80)
+    return draw(st.one_of(
+        st.lists(st.one_of(st.integers(-9, 9), big), min_size=n, max_size=n),
+        st.just([0] * n),
+        big.map(lambda y: [y] * n),
+    ))
+
+
+@checked
+@given(int_rows(), st.integers(-10**30, 10**30))
+@example([(-1) ** i * 10**80 for i in range(60)], -10**30)
+def test_int_front_differences_match_the_binomial_sum(ys, a):
+    """On int ordinates at a, a+1, ..., the in-place subtraction table holds
+    the forward differences the binomial sum gives."""
+    poly = lagrange_interpolate(list(zip(range(a, a + len(ys)), ys)))
+    assert poly._differences == (a, forward_differences(ys))
+
+
+@checked
+@given(st.one_of(st.integers(0, 8), st.integers(0, 10**6)), st.integers(0, 40), st.data())
+def test_closed_form_differences_match_the_binomial_sum(g, k, data):
+    """The closed form's in-place differencing of the node row gives the
+    forward differences the binomial sum gives, on admitted (g, d, k)."""
+    import secantinv.secant_core as core
+
+    lo = 2 * g + 2 * k + 1
+    d = data.draw(st.one_of(st.integers(lo, lo + 20), st.integers(lo, 10**9)), label="d")
+    nodes = core._node_values(g, d, k)
+    assert core._closed_form(g, d, k)._differences[1] == forward_differences(nodes)
