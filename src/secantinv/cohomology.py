@@ -51,6 +51,12 @@ __all__ = [
 _MAX_BUNDLE_SIZE = 10**4000
 
 
+def _sized(label: str, value: int) -> None:
+    """Refuse a bundle field at or above 10**4000 in absolute value."""
+    if abs(value) >= _MAX_BUNDLE_SIZE:
+        raise DomainError(f"{label} has more than 4000 digits")
+
+
 class LineBundleClass(_Frozen):
     """Cohomological class (genus, degree, h0, h1) of a line bundle on a curve.
 
@@ -67,11 +73,17 @@ class LineBundleClass(_Frozen):
     h1: int
 
     def __init__(self, genus: int, degree: int, h0: int, h1: int) -> None:
+        _admit("genus", genus, limit=_MAX_GENUS)
+        _sized("degree", degree)
+        _admit("degree", degree)
+        self._settle(genus, degree, h0, h1)
+
+    def _settle(self, genus: int, degree: int, h0: int, h1: int) -> None:
+        """Admit h1 and h0, each once, check the class against an admitted
+        genus and degree, and set the fields."""
         g, d = genus, degree
-        _admit("genus", g, limit=_MAX_GENUS)
-        for label, value in (("degree", d), ("h1", h1), ("h0", h0)):
-            if abs(value) >= _MAX_BUNDLE_SIZE:
-                raise DomainError(f"{label} has more than 4000 digits")
+        for label, value in (("h1", h1), ("h0", h0)):
+            _sized(label, value)
             _admit(label, value)
         if d > 2 * g - 2:
             if h1 != 0:
@@ -79,9 +91,13 @@ class LineBundleClass(_Frozen):
         elif d < 0 and h1 != g - 1 - d:
             _refuse("degree {} < 0 forces h1 = {forced}, got {}", ("degree", d), ("h1", h1),
                     forced=g - 1 - d)
-        _admit("genus", g, 0)
-        _admit("h0", h0, 0, below="h0 = {}, h1 = {h1} must be nonnegative", h1=h1)
-        _admit("h1", h1, 0, below="h0 = {h0}, h1 = {} must be nonnegative", h0=h0)
+        # the signs only after the forcing checks, which name a bad input first
+        if g < 0:
+            _refuse("genus {} must be nonnegative", ("genus", g))
+        if h0 < 0:
+            _refuse("h0 = {}, h1 = {h1} must be nonnegative", ("h0", h0), h1=h1)
+        if h1 < 0:
+            _refuse("h0 = {h0}, h1 = {} must be nonnegative", ("h1", h1), h0=h0)
         if h0 - h1 != d - g + 1:
             raise DomainError(f"h0 - h1 = {h0 - h1} violates Riemann-Roch value {d - g + 1}")
         self.__dict__.update(genus=genus, degree=degree, h0=h0, h1=h1)
@@ -118,7 +134,12 @@ class LineBundleClass(_Frozen):
                         "supply h1 explicitly", ("degree", degree), ("genus", genus),
                         error=AmbiguousBundle, top=2 * genus - 2)
             h1 = 0 if degree > 2 * genus - 2 else genus - 1 - degree
-        return cls(genus, degree, degree - genus + 1 + h1, h1)
+        h0 = degree - genus + 1 + h1
+        # __init__'s checks in its order, less the two the genus and degree passed above
+        _sized("degree", degree)
+        bundle = cls.__new__(cls)
+        bundle._settle(genus, degree, h0, h1)
+        return bundle
 
 
 def sym_dim(n: int, j: int) -> int:

@@ -11,11 +11,11 @@ coefficients as ``Fraction`` objects are built only when read.
 A polynomial has one other form, a lazy one: its forward differences on
 the unit-spaced integers a, a+1, ..., integers D_0..D_n with value
 sum_m D_m C(t - a, m) and D_n nonzero.  Both routes of a chi build end in
-it, on the twists -k..k+1.  Two polynomials held as differences on the same
-first point compare as those integers; the degree, the leading coefficient
-and the value at an integer read the differences, a value as one integer
-sum.  The monomial form is built once, on the first read of ``numerators``
-or ``denominator``.
+those integers, on the twists -k..k+1, and chi is held in this form.  Two
+polynomials held as differences on the same first point compare as those
+integers; the degree, the leading coefficient and the value at an integer
+read the differences, a value as one integer sum.  The monomial form is
+built once, on the first read of ``numerators`` or ``denominator``.
 
 Every monomial form that comes from Newton coefficients is built by one
 routine, :func:`_expanded`: it expands the Newton form into monomials and

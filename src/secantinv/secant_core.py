@@ -13,14 +13,14 @@ negative twists the value forced by the vanishing of the alternating sum
 sum_{i=0..k} (-1)^i C(g,i) chi_{k-i}(l) over lower secant orders of the same
 (g, d).  The node values are integers, built bottom-up in one table per
 (g, d), shared by every order and grown on demand.  The polynomial is then
-computed twice, by the Gregory-Newton formula and by the interpolation
-table of Newton divided differences, whose abscissae increase by 1, so each
-of its columns only subtracts.  Both routes run in integer arithmetic, with
-no scale and no gcd, and both end in chi's forward differences D_0..D_{2k+1}
-on the node twists, chi(t) = sum_m D_m C(t+k, m); the two tuples must be
-equal.  The degree is D_{2k+1}; the generator count, the Hilbert function,
-the cohomology tables and the series checks read chi's values as integer
-sums over that tuple.  The monomial form is built once, by
+computed twice from one read of its node row, by the Gregory-Newton
+formula and by the interpolation table of Newton divided differences, whose
+abscissae increase by 1, so each of its columns only subtracts.  Both
+routes run in integer arithmetic, with no scale and no gcd, and both end in
+chi's forward differences D_0..D_{2k+1} on the node twists, chi(t) =
+sum_m D_m C(t+k, m); the two tuples must be equal.  The degree is D_{2k+1};
+the generator count, the Hilbert function, the cohomology tables and the
+series checks read chi's values as integer sums over that tuple.  The monomial form is built once, by
 :func:`hilbert_polynomial` or a first read of ``numerators``, and is
 certified by synthetic division back to the Newton coefficients.  No
 coefficient of chi or of the series numerator becomes a ``Fraction`` unless
@@ -54,7 +54,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple, NoReturn
 
 from .errors import DomainError, GeneratorDegreeUnknown, InternalMismatch
-from .exactmath import QPolynomial, _Frozen, binomial, lagrange_interpolate
+from .exactmath import QPolynomial, _Frozen, _trimmed, binomial, lagrange_interpolate
 
 __all__ = [
     "SecantInstance",
@@ -100,8 +100,12 @@ def _refuse(template: str, *values: tuple[str, int], error: type[Exception] = Do
     holds only values the caller derived or read from an admitted instance or
     bundle."""
     for label, value in values:
-        terms = (value.numerator, value.denominator) if hasattr(value, "denominator") else (value,)
-        if any(abs(term) >= _MAX_PRINTED for term in terms):
+        if type(value) is int:  # most values: one range test, no tuple of terms
+            too_long = not -_MAX_PRINTED < value < _MAX_PRINTED
+        else:
+            terms = (value.numerator, value.denominator) if hasattr(value, "denominator") else (value,)
+            too_long = any(abs(term) >= _MAX_PRINTED for term in terms)
+        if too_long:
             raise DomainError(f"{label} has more than 4000 digits")
     raise error(template.format(*(value for _, value in values), **fixed))
 
@@ -325,44 +329,46 @@ def _stencil(j: int) -> tuple[int, ...]:
     return tuple(weights[:0:-1])
 
 
-def _closed_form(genus: int, degree: int, order: int) -> QPolynomial:
-    """chi by the Gregory-Newton forward-difference formula, in integers.
+def _closed_form(order: int, nodes: tuple[int, ...]) -> list[int]:
+    """chi's forward differences D_0..D_n, n = 2k+1, on the node twists
+    -k..k+1, by the Gregory-Newton forward-difference formula, in integers.
 
-    On the unit-spaced node twists -k..k+1, chi(t) = sum_{m=0..n} D_m C(t+k, m)
-    with n = 2k+1 and D_m the m-th forward difference of the node values at
-    twist -k; chi is held as D_0..D_n.  The node row is copied into one list
-    and differenced in place: pass m reads D_m off its head, then leaves the
-    (m+1)-th differences in its first n-m entries.
+    On the unit-spaced node twists, chi(t) = sum_{m=0..n} D_m C(t+k, m) with
+    D_m the m-th forward difference of the node values ``nodes`` at twist
+    -k.  The row is copied into one list and differenced in place: pass m
+    reads D_m off its head, then leaves the (m+1)-th differences in its
+    first n-m entries.
     """
-    row = list(_node_values(genus, degree, order))
+    row = list(nodes)
     differences = []  # D_0..D_n
     for live in range(2 * order + 1, -1, -1):
         differences.append(row[0])
         for i in range(live):
             row[i] = row[i + 1] - row[i]
-    return QPolynomial._forward(-order, differences)
+    return differences
 
 
 @lru_cache(maxsize=None)
 def _chi(genus: int, degree: int, order: int) -> QPolynomial:
-    """Memoized Hilbert polynomial, computed by both routes and compared as
-    forward differences on the node twists.  It is returned in that form,
-    with D_{2k+1} > 0: its degree, leading coefficient and values at
-    integers read it, and its monomial form is built on first read."""
-    closed = _closed_form(genus, degree, order)
+    """Memoized Hilbert polynomial, computed by both routes from one read
+    of the node row and compared as forward differences on the node twists:
+    the interpolant's must be the closed form's, with the top zeros
+    dropped.  The interpolant is returned, in that form, with D_{2k+1} > 0:
+    its degree, leading coefficient and values at integers read it, and its
+    monomial form is built on first read."""
     nodes = _node_values(genus, degree, order)
-    interpolated = lagrange_interpolate(list(zip(range(-order, order + 2), nodes)))
-    if closed != interpolated:  # named, not printed: chi at order 200 prints in about 470 kB
-        raise InternalMismatch(
+    closed = _trimmed(_closed_form(order, nodes))
+    chi = lagrange_interpolate(list(zip(range(-order, order + 2), nodes)))
+    if chi._differences != (-order, closed):
+        raise InternalMismatch(  # named, not printed: chi at order 200 prints in about 470 kB
             f"closed form and interpolant disagree for (g, d, k) = ({genus}, {degree}, {order})"
         )
-    form = closed._differences
-    if not (form and len(form[1]) == 2 * order + 2 and form[1][-1] > 0):
+    if not (len(closed) == 2 * order + 2 and closed[-1] > 0):
         raise InternalMismatch(  # coefficient(-1) is 0, so a zero chi is named too
-            f"chi for ({genus}, {degree}, {order}) has degree {closed.degree} "
-            f"and leading coefficient {closed.coefficient(closed.degree)}"
+            f"chi for ({genus}, {degree}, {order}) has degree {chi.degree} "
+            f"and leading coefficient {chi.coefficient(chi.degree)}"
         )
-    return closed
+    return chi
 
 
 def node_values(inst: SecantInstance) -> NodeValues:
@@ -466,7 +472,7 @@ def generator_count(inst: SecantInstance) -> int:
             f"degree {d} = 2g+2k+1: generators of degree k+2 not guaranteed, "
             f"need d >= {2 * g + 2 * k + 2}"
         )
-    count = binomial(d - g + k + 2, k + 2) - hilbert_function(inst, k + 2)
+    count = binomial(d - g + k + 2, k + 2) - _hilbert_value(g, d, k, k + 2)
     if count < 0:
         raise InternalMismatch(f"negative generator count {count}")
     return count

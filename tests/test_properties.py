@@ -387,4 +387,4 @@ def test_closed_form_differences_match_the_binomial_sum(g, k, data):
     lo = 2 * g + 2 * k + 1
     d = data.draw(st.one_of(st.integers(lo, lo + 20), st.integers(lo, 10**9)), label="d")
     nodes = core._node_values(g, d, k)
-    assert core._closed_form(g, d, k)._differences[1] == forward_differences(nodes)
+    assert tuple(core._closed_form(k, nodes)) == forward_differences(nodes)

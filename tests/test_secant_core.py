@@ -1058,7 +1058,8 @@ class TestDualRouteGuard:
         from secantinv import InternalMismatch, lagrange_interpolate as real_interp
 
         def skewed(nodes):
-            return real_interp(nodes) + QPolynomial([1])
+            first, differences = real_interp(nodes)._differences
+            return QPolynomial._forward(first, [differences[0] + 1, *differences[1:]])
 
         monkeypatch.setattr(core, "lagrange_interpolate", skewed)
         core._chi.cache_clear()
@@ -1078,8 +1079,9 @@ class TestDualRouteGuard:
 
         real_closed_form = core._closed_form
 
-        def skewed(genus, degree, order):
-            return real_closed_form(genus, degree, order) + QPolynomial([1])
+        def skewed(order, nodes):
+            differences = real_closed_form(order, nodes)
+            return [differences[0] + 1, *differences[1:]]
 
         monkeypatch.setattr(core, "_closed_form", skewed)
         core._chi.cache_clear()
@@ -1101,9 +1103,9 @@ class TestDualRouteGuard:
 
         real_closed_form = core._closed_form
 
-        def skewed(genus, degree, order):
-            closed = real_closed_form(genus, degree, order)
-            return closed + QPolynomial([1]) if order >= 2 else closed
+        def skewed(order, nodes):
+            closed = real_closed_form(order, nodes)
+            return [closed[0] + 1, *closed[1:]] if order >= 2 else closed
 
         monkeypatch.setattr(core, "_closed_form", skewed)
         err = io.StringIO()
@@ -1122,8 +1124,9 @@ class TestDualRouteGuard:
         # both routes agree, on a polynomial of degree 2k instead of 2k+1
         import secantinv.secant_core as core
 
-        wrong = QPolynomial([1, 1, 1])
-        monkeypatch.setattr(core, "_closed_form", lambda genus, degree, order: wrong)
+        # 1 + t + t^2 at twists -1, 0, 1 is 1, 1, 3, with forward differences 1, 0, 2
+        wrong = QPolynomial._forward(-1, [1, 0, 2])
+        monkeypatch.setattr(core, "_closed_form", lambda order, nodes: [1, 0, 2, 0])
         monkeypatch.setattr(core, "lagrange_interpolate", lambda nodes: wrong)
         core._chi.cache_clear()
         try:
@@ -1139,8 +1142,9 @@ class TestDualRouteGuard:
         import secantinv.secant_core as core
         from secantinv.cli import run
 
-        monkeypatch.setattr(core, "_closed_form", lambda genus, degree, order: QPolynomial.zero())
-        monkeypatch.setattr(core, "lagrange_interpolate", lambda nodes: QPolynomial.zero())
+        monkeypatch.setattr(core, "_closed_form", lambda order, nodes: [0, 0, 0, 0])
+        monkeypatch.setattr(core, "lagrange_interpolate",
+                            lambda nodes: QPolynomial._forward(-1, [0, 0, 0, 0]))
         core._chi.cache_clear()
         out, err = io.StringIO(), io.StringIO()
         try:
@@ -1154,6 +1158,47 @@ class TestDualRouteGuard:
         assert (code, out.getvalue()) == (3, "")
         assert err.getvalue() == ("error: internal-mismatch: chi for (2, 9, 1) has degree -1 "
                                   "and leading coefficient 0\n")
+
+    def test_both_routes_difference_one_read_of_the_node_row(self, monkeypatch, cold_engine):
+        # over a cold sweep, each chi build reads its node row once, and the
+        # closed form and the interpolation both get that row's ordinates
+        import secantinv.secant_core as core
+        from secantinv.cli import run
+
+        reads, rows, closed_rows, interpolated_rows = [], [], [], []
+        real_nodes, real_closed_form = core._node_values, core._closed_form
+        real_interp = core.lagrange_interpolate
+
+        def reading(genus, degree, order):
+            reads.append((genus, degree, order))
+            rows.append(real_nodes(genus, degree, order))
+            return rows[-1]
+
+        def closing(order, nodes):
+            closed_rows.append(nodes)
+            return real_closed_form(order, nodes)
+
+        def interpolating(nodes):
+            interpolated_rows.append(tuple(y for _, y in nodes))
+            return real_interp(nodes)
+
+        monkeypatch.setattr(core, "_node_values", reading)
+        monkeypatch.setattr(core, "_closed_form", closing)
+        monkeypatch.setattr(core, "lagrange_interpolate", interpolating)
+        argv = ["sweep", "--genus-range", "0:2", "--degree-range", "3:15", "--order-range", "0:3",
+                "--invariant", "generators"]
+        try:
+            assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+            builds = core._chi.cache_info().currsize
+        finally:
+            monkeypatch.undo()
+            core._chi.cache_clear()
+            core._node_table.cache_clear()
+        # generators skips the boundary d = 2g+2k+1 before it builds chi
+        cells = sum(d >= 2 * g + 2 * k + 2 for g in range(3) for d in range(3, 16) for k in range(4))
+        assert builds == cells == len(set(reads)) == len(reads)
+        assert closed_rows == interpolated_rows == rows
+        assert all(closed is read for closed, read in zip(closed_rows, rows))
 
 
 class TestPinnedChi:
