@@ -16,11 +16,11 @@ form's loop, one at column 3 of ``lagrange_interpolate``'s ``int`` front.
 
 Usage, from the repository root::
 
-    python scripts/mutants.py [NAME ...]
+    python scripts/mutants.py
 
-prints ``name killed`` or ``name SURVIVED: ...`` for each named mutant, or
-for every one, and exits 1 if a mutant survives, if its text does not occur
-exactly once, or if a killer fails on the unmutated package.
+prints ``name killed`` or ``name SURVIVED: ...`` for each mutant, and exits
+1 if a mutant survives, if its text does not occur exactly once, or if a
+killer fails on the unmutated package.
 """
 
 from __future__ import annotations
@@ -99,21 +99,14 @@ def verdict(mutant: Mutant) -> str | None:
     return None
 
 
-def main(names: list[str]) -> int:
-    known = {mutant.name: mutant for mutant in MUTANTS}
-    unknown = sorted(set(names) - set(known))
-    if unknown:
-        print(f"unknown mutant {', '.join(unknown)}; the mutants are {', '.join(known)}",
-              file=sys.stderr)
-        return 2
-    chosen = [known[name] for name in names] if names else list(MUTANTS)
+def main() -> int:
     ok = True
-    for argv in dict.fromkeys(mutant.argv for mutant in chosen):
+    for argv in dict.fromkeys(mutant.argv for mutant in MUTANTS):
         code, stderr = _run(SRC, argv)
         if code != 0:
             print(f"killer {' '.join(argv)} fails unmutated: exit {code}, stderr {stderr!r}")
             ok = False
-    for mutant in chosen:
+    for mutant in MUTANTS:
         why = verdict(mutant)
         print(f"{mutant.name} killed" if why is None else f"{mutant.name} SURVIVED: {why}")
         ok &= why is None
@@ -121,4 +114,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

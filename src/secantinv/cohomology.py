@@ -51,12 +51,6 @@ __all__ = [
 _MAX_BUNDLE_SIZE = 10**4000
 
 
-def _sized(label: str, value: int) -> None:
-    """Refuse a bundle field at or above 10**4000 in absolute value."""
-    if abs(value) >= _MAX_BUNDLE_SIZE:
-        raise DomainError(f"{label} has more than 4000 digits")
-
-
 class LineBundleClass(_Frozen):
     """Cohomological class (genus, degree, h0, h1) of a line bundle on a curve.
 
@@ -73,17 +67,11 @@ class LineBundleClass(_Frozen):
     h1: int
 
     def __init__(self, genus: int, degree: int, h0: int, h1: int) -> None:
-        _admit("genus", genus, limit=_MAX_GENUS)
-        _sized("degree", degree)
-        _admit("degree", degree)
-        self._settle(genus, degree, h0, h1)
-
-    def _settle(self, genus: int, degree: int, h0: int, h1: int) -> None:
-        """Admit h1 and h0, each once, check the class against an admitted
-        genus and degree, and set the fields."""
         g, d = genus, degree
-        for label, value in (("h1", h1), ("h0", h0)):
-            _sized(label, value)
+        _admit("genus", g, limit=_MAX_GENUS)
+        for label, value in (("degree", d), ("h1", h1), ("h0", h0)):
+            if abs(value) >= _MAX_BUNDLE_SIZE:
+                raise DomainError(f"{label} has more than 4000 digits")
             _admit(label, value)
         if d > 2 * g - 2:
             if h1 != 0:
@@ -134,12 +122,7 @@ class LineBundleClass(_Frozen):
                         "supply h1 explicitly", ("degree", degree), ("genus", genus),
                         error=AmbiguousBundle, top=2 * genus - 2)
             h1 = 0 if degree > 2 * genus - 2 else genus - 1 - degree
-        h0 = degree - genus + 1 + h1
-        # __init__'s checks in its order, less the two the genus and degree passed above
-        _sized("degree", degree)
-        bundle = cls.__new__(cls)
-        bundle._settle(genus, degree, h0, h1)
-        return bundle
+        return cls(genus, degree, degree - genus + 1 + h1, h1)
 
 
 def sym_dim(n: int, j: int) -> int:

@@ -20,12 +20,12 @@ routes run in integer arithmetic, with no scale and no gcd, and both end in
 chi's forward differences D_0..D_{2k+1} on the node twists, chi(t) =
 sum_m D_m C(t+k, m); the two tuples must be equal.  The degree is D_{2k+1};
 the generator count, the Hilbert function, the cohomology tables and the
-series checks read chi's values as integer sums over that tuple.  The monomial form is built once, by
-:func:`hilbert_polynomial` or a first read of ``numerators``, and is
-certified by synthetic division back to the Newton coefficients.  No
-coefficient of chi or of the series numerator becomes a ``Fraction`` unless
-a caller reads ``coefficients``.  The Hilbert series
-numerator is read from the node values too, by differences and Stanley's
+series checks read chi's values as integer sums over that tuple.  The
+monomial form is built once, by :func:`hilbert_polynomial` or a first read
+of ``numerators``, and is certified by synthetic division back to the
+Newton coefficients.  No coefficient of chi or of the series numerator
+becomes a ``Fraction`` unless a caller reads ``coefficients``.  The Hilbert
+series numerator is read from the node values too, by differences and Stanley's
 reciprocity; its integer coefficients must sum to the degree, and one sum
 over them, the expansion at twist k+2, to chi(k+2).  A series that passes
 both checks is kept beside the rows of its (g, d) node table and returned to
@@ -100,12 +100,8 @@ def _refuse(template: str, *values: tuple[str, int], error: type[Exception] = Do
     holds only values the caller derived or read from an admitted instance or
     bundle."""
     for label, value in values:
-        if type(value) is int:  # most values: one range test, no tuple of terms
-            too_long = not -_MAX_PRINTED < value < _MAX_PRINTED
-        else:
-            terms = (value.numerator, value.denominator) if hasattr(value, "denominator") else (value,)
-            too_long = any(abs(term) >= _MAX_PRINTED for term in terms)
-        if too_long:
+        terms = (value.numerator, value.denominator) if hasattr(value, "denominator") else (value,)
+        if any(abs(term) >= _MAX_PRINTED for term in terms):
             raise DomainError(f"{label} has more than 4000 digits")
     raise error(template.format(*(value for _, value in values), **fixed))
 

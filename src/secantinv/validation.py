@@ -36,6 +36,7 @@ from .exactmath import (
 )
 from .secant_core import (
     SecantInstance,
+    _closed_form,
     canonical_h0,
     generator_count,
     hilbert_function,
@@ -166,11 +167,12 @@ def check_closed_form_vs_interpolation() -> Optional[str]:
     count = 0
     for inst in _grid(5, 6, 15):
         # hilbert_polynomial computes both routes and compares internally;
-        # re-derive the interpolant here so the agreement is checked in the
-        # catalogue even if that internal guard changes
-        chi = hilbert_polynomial(inst)
-        interpolated = lagrange_interpolate(list(node_values(inst).items()))
-        assert chi == interpolated, inst
+        # re-derive both here so the agreement is checked in the catalogue
+        # even if that internal guard changes
+        nodes = node_values(inst)
+        closed = QPolynomial._forward(-inst.order, _closed_form(inst.order, nodes.entries))
+        interpolated = lagrange_interpolate(list(nodes.items()))
+        assert hilbert_polynomial(inst) == closed == interpolated, inst
         count += 1
     return f"{count} instances"
 

@@ -29,6 +29,7 @@ from secantinv import (
     node_values,
     variety_degree,
 )
+from secantinv.secant_core import _closed_form
 
 from oracles import genus0_hilbert_function
 
@@ -92,9 +93,11 @@ def test_criterion_04_closed_form_equals_interpolation():
                 for d in range(lo, 2 * g + 2 * k + 16):
                     inst = SecantInstance(g, d, k)
                     # hilbert_polynomial computes both routes and raises on any
-                    # disagreement; re-interpolate explicitly as well
-                    chi = hilbert_polynomial(inst)
-                    assert chi == lagrange_interpolate(list(node_values(inst).items()))
+                    # disagreement; re-derive both explicitly as well
+                    nodes = node_values(inst)
+                    closed = QPolynomial._forward(-k, _closed_form(k, nodes.entries))
+                    interpolated = lagrange_interpolate(list(nodes.items()))
+                    assert hilbert_polynomial(inst) == closed == interpolated
         assert time.perf_counter() - start < 10.0
 
 

@@ -25,9 +25,4 @@ CATALOGUE = _load()
 def test_mutant_text_occurs_once_in_src(mutant):
     assert mutant.new != mutant.old
     assert CATALOGUE.occurrences(mutant) == 1
-
-
-def test_catalogue_holds_both_guard_routes():
-    assert sorted(mutant.file for mutant in CATALOGUE.MUTANTS) == [
-        "secantinv/exactmath.py", "secantinv/secant_core.py"]
-    assert len({mutant.name for mutant in CATALOGUE.MUTANTS}) == len(CATALOGUE.MUTANTS)
+    assert [other.name for other in CATALOGUE.MUTANTS].count(mutant.name) == 1
