@@ -1,4 +1,4 @@
-"""The dual-route guard's mutants, each with the request that must kill it.
+"""Recorded mutants of the package, each with the request that must kill it.
 
 Each entry of ``MUTANTS`` is one deliberate slip in the package: a name, a
 file under ``src/``, an exact text that occurs once in that file, the text
@@ -10,9 +10,15 @@ is killed when the exit code and stderr are exactly the killer's.  Each
 killer is first run on the unmutated package, where it must exit 0, so that
 a killer which fails anyway kills nothing.  Nothing under ``src/`` changes.
 
-The guard's two routes are chi's two integer differencing kernels, so the
-entries are the same slip in each, D_3 + 1 at order 3: one in the closed
-form's loop, one at column 3 of ``lagrange_interpolate``'s ``int`` front.
+The first two entries are slips that the dual-route guard must catch.  Its
+two routes are chi's two integer differencing kernels, so they are the same
+slip in each, D_3 + 1 at order 3: one in the closed form's loop, one at
+column 3 of ``lagrange_interpolate``'s ``int`` front.  The third flips a
+sign in the expansion of a Newton form into monomials, which the
+expansion's certificate must catch.  The fourth spells a wire string as an
+unreduced numerator over the common denominator, which only the ``validate``
+catalogue sees: its killer exits 1 with the report on stdout and nothing on
+stderr.
 
 Usage, from the repository root::
 
@@ -67,6 +73,24 @@ MUTANTS = (
         old="differences[i] = current - previous",
         new="differences[i] = current - previous + (order == 3 and i == 3)",
         **_MISMATCH_AT_2_30_3,
+    ),
+    Mutant(
+        name="newton-sign-slip",
+        file="secantinv/exactmath.py",
+        old="poly[j] = carry - a * c",
+        new="poly[j] = carry + a * c",
+        argv=("hilbert", "--genus", "2", "--degree", "30", "--order", "3"),
+        code=3,
+        stderr="error: internal-mismatch: the monomial and Newton forms of a polynomial differ\n",
+    ),
+    Mutant(
+        name="wire-unreduced",
+        file="secantinv/exactmath.py",
+        old="return tuple(map(format_rational, self.coefficients))",
+        new='return tuple(f"{n}/{self.denominator}" for n in self.numerators)',
+        argv=("validate",),
+        code=1,
+        stderr="",
     ),
 )
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import AmbiguousBundle, DomainError, InternalMismatch
 from .exactmath import _Frozen, binomial
-from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _admit, _chi,
+from .secant_core import (_MAX_GENUS, _MAX_TWIST, SecantInstance, _admit, _chi_value,
                           _hilbert_value, _refuse)
 
 __all__ = [
@@ -323,7 +323,7 @@ def _admit_canonical_twist(twist: int) -> None:
 def _canonical_twist(genus: int, degree: int, order: int, twist: int, i: int) -> int:
     if not 0 <= i <= min(1, order):
         return 0
-    value = -_chi(genus, degree, order - i)._at(-twist)
+    value = -_chi_value(genus, degree, order - i, -twist)
     if value < 0:
         raise InternalMismatch(
             f"-chi(-{twist}) = {value} is not a nonnegative integer "

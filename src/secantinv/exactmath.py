@@ -8,14 +8,12 @@ denominator D and the integer numerators of its coefficients over D, in
 ascending degree, with no factor common to D and every numerator.  Its
 coefficients as ``Fraction`` objects are built only when read.
 
-A polynomial has one other form, a lazy one: its forward differences on
-the unit-spaced integers a, a+1, ..., integers D_0..D_n with value
-sum_m D_m C(t - a, m) and D_n nonzero.  Both routes of a chi build end in
-those integers, on the twists -k..k+1, and chi is held in this form.  Two
-polynomials held as differences on the same first point compare as those
-integers; the degree, the leading coefficient and the value at an integer
-read the differences, a value as one integer sum.  The monomial form is
-built once, on the first read of ``numerators`` or ``denominator``.
+A polynomial may instead be built from its forward differences on the
+unit-spaced integers a, a+1, ..., integers D_0..D_n with value
+sum_m D_m C(t - a, m) and D_n nonzero; both routes of a chi build end in
+those integers, on the twists -k..k+1.  Every read of a polynomial reads
+its integer form, which such a polynomial builds once, on the first read of
+``numerators`` or ``denominator``; only the engine reads chi's differences.
 
 Every monomial form that comes from Newton coefficients is built by one
 routine, :func:`_expanded`: it expands the Newton form into monomials and
@@ -28,8 +26,8 @@ of chi's two routes, only subtracts and returns the forward differences,
 and their monomial form expands the integer Newton coefficients D_m n!/m!
 and divides by n! once.  Off that route, which no chi build takes, the code
 is the textbook one over ``Fraction``: interpolation on any other nodes
-runs Newton's divided-difference table, and a value anywhere but at an
-integer of a difference form is Horner's rule on the coefficients.
+runs Newton's divided-difference table.  A value is Horner's rule on the
+integer numerators, divided by the denominator once.
 :func:`finite_difference_numerator` derives a series numerator from values;
 the engine reads its numerator from the node values instead, and ``validate``
 and the tests compare the two.
@@ -185,7 +183,7 @@ class QPolynomial(_Frozen):
     coefficients as ``Fraction`` objects and the wire strings are built on
     first read.  A polynomial built by :meth:`_forward` holds its forward
     differences instead, and builds the integer form on the first read of
-    either field.
+    either field; every method reads the integer form.
     Instances are immutable and safe to share between threads.
     """
 
@@ -247,9 +245,6 @@ class QPolynomial(_Frozen):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        mine, theirs = self._differences, other._differences
-        if mine and theirs and mine[0] == theirs[0]:  # the same first twist
-            return mine[1] == theirs[1]
         return self.denominator == other.denominator and self.numerators == other.numerators
 
     def __hash__(self) -> int:
@@ -278,8 +273,6 @@ class QPolynomial(_Frozen):
 
     @property
     def degree(self) -> int:
-        if self._differences:
-            return len(self._differences[1]) - 1
         return len(self.numerators) - 1
 
     @property
@@ -290,8 +283,6 @@ class QPolynomial(_Frozen):
     def leading_coefficient(self) -> Fraction:
         if self.degree < 0:
             raise ValueError("the zero polynomial has no leading coefficient")
-        if self._differences:  # C(t - a, n) leads with 1/n!
-            return Fraction(self._differences[1][-1], math.factorial(self.degree))
         return Fraction(self.numerators[-1], self.denominator)
 
     def coefficient(self, power: int) -> Fraction:
@@ -299,30 +290,14 @@ class QPolynomial(_Frozen):
             return Fraction(self.numerators[power], self.denominator)
         return Fraction(0)
 
-    def _at(self, point: int) -> int:
-        """Value at the integer ``point`` of a polynomial held as its forward
-        differences: sum_m D_m C(x, m) with x = point - a, each binomial
-        from the one before by C(x, m+1) = C(x, m) (x - m) / (m+1), a
-        division that is exact for every integer x, negative ones too."""
-        first, differences = self._differences
-        x = point - first
-        value, binomial_m = 0, 1
-        for m, difference in enumerate(differences):
-            value += difference * binomial_m
-            binomial_m = binomial_m * (x - m) // (m + 1)
-        return value
-
     def __call__(self, point: RationalLike) -> Fraction:
-        """Value at ``point``: at an integer, a polynomial held as its forward
-        differences is evaluated in integers by :meth:`_at`; anywhere else,
-        Horner's rule on the coefficients."""
-        if type(point) is int and self._differences:
-            return Fraction(self._at(point))
+        """Value at ``point``, by Horner's rule on the integer numerators,
+        divided by the denominator once: in integers at an integer point."""
         x = point if isinstance(point, (int, Fraction)) else Fraction(point)
-        value = Fraction(0)
-        for c in reversed(self.coefficients):
+        value = 0
+        for c in reversed(self.numerators):
             value = value * x + c
-        return value
+        return Fraction(value, self.denominator)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         common = math.lcm(self.denominator, other.denominator)

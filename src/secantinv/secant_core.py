@@ -18,12 +18,12 @@ formula and by the interpolation table of Newton divided differences, whose
 abscissae increase by 1, so each of its columns only subtracts.  Both
 routes run in integer arithmetic, with no scale and no gcd, and both end in
 chi's forward differences D_0..D_{2k+1} on the node twists, chi(t) =
-sum_m D_m C(t+k, m); the two tuples must be equal.  The degree is D_{2k+1};
-the generator count, the Hilbert function, the cohomology tables and the
-series checks read chi's values as integer sums over that tuple.  The
-monomial form is built once, by :func:`hilbert_polynomial` or a first read
-of ``numerators``, and is certified by synthetic division back to the
-Newton coefficients.  No coefficient of chi or of the series numerator
+sum_m D_m C(t+k, m); the two tuples must be equal.  Only this module reads
+that tuple: the degree is D_{2k+1}, and ``_chi_value`` gives chi's values
+at integers, as integer sums over it.  Every other read of chi reads its
+monomial form, built once, by :func:`hilbert_polynomial` or a first read of
+``numerators``, and certified by synthetic division back to the Newton
+coefficients.  No coefficient of chi or of the series numerator
 becomes a ``Fraction`` unless a caller reads ``coefficients``.  The Hilbert
 series numerator is read from the node values too, by differences and Stanley's
 reciprocity; its integer coefficients must sum to the degree, and one sum
@@ -33,12 +33,12 @@ every later request of its order, so emptying the node-table cache
 (``_node_table.cache_clear()``) empties it too; a build that fails a check
 keeps nothing.  Orders above 200, genera
 above 10**6, degrees above 10**9 and twists above 10**6 are refused, and so
-is any integer argument that is not a whole number.  Every integer argument
-of the engine, the cohomology tables, the tangent cones and ``sweep`` is
-admitted by ``_admit``, which checks its limit, its integrality and its
-lower bound in that order.  Every refusal that prints an integer it was
-passed formats it through ``_refuse``, which refuses an integer with more
-than 4,300 digits, the most Python prints, by name instead.
+is any integer argument that is not an ``int``, such as 2.0 or True.  Every
+integer argument of the engine, the cohomology tables, the tangent cones
+and ``sweep`` is admitted by ``_admit``, which checks its limit, its type
+and its lower bound in that order.  Every refusal that prints an integer it
+was passed formats it through ``_refuse``, which refuses an integer with
+more than 4,300 digits, the most Python prints, by name instead.
 
 The twist variable is written t throughout; s is reserved for stratum
 indices (see :mod:`secantinv.tangent_geometry`).
@@ -114,13 +114,13 @@ def _admit(label: str, value: int, low: int | None = None, limit: int | None = N
            below: str = "", limit_name: str = "maximum", **fixed: object) -> None:
     """Admit the integer argument ``value``, or refuse it, in this order: above
     ``limit``, which the message calls ``limit_name``, or too long to print
-    whatever its sign, where there is a limit; not a whole number, such as 3/2
-    or 1.5; below ``low``, by ``below`` if given (its ``{}`` is the value, and
-    its named fields are ``low`` and ``fixed``).  A caller runs it before any
-    other check of ``value``."""
+    whatever its sign, where there is a limit; not an ``int``, such as 3/2,
+    2.0 or True; below ``low``, by ``below`` if given (its ``{}`` is the
+    value, and its named fields are ``low`` and ``fixed``).  A caller runs it
+    before any other check of ``value``."""
     if limit is not None and (value > limit or abs(value) >= _MAX_PRINTED):
         _refuse(f"{label} {{}} exceeds the {limit_name} {limit}", (label, value))
-    if value % 1:
+    if type(value) is not int:
         _refuse(f"{label} {{}} must be an integer", (label, value))
     if low is not None and value < low:
         _refuse(below or f"{label} {{}} {_SIGN[low]}", (label, value), low=low, **fixed)
@@ -181,7 +181,7 @@ class NodeValues(_Frozen):
         return range(-self.order, self.order + 2)
 
     def __getitem__(self, twist: int) -> int:
-        if twist not in self.twists:
+        if type(twist) is not int or twist not in self.twists:
             _refuse("twist {} outside node range {nodes}", ("twist", twist), error=KeyError,
                     nodes=self.twists)
         return self.entries[twist + self.order]
@@ -350,8 +350,8 @@ def _chi(genus: int, degree: int, order: int) -> QPolynomial:
     of the node row and compared as forward differences on the node twists:
     the interpolant's must be the closed form's, with the top zeros
     dropped.  The interpolant is returned, in that form, with D_{2k+1} > 0:
-    its degree, leading coefficient and values at integers read it, and its
-    monomial form is built on first read."""
+    :func:`variety_degree` and :func:`_chi_value` read it, and its monomial
+    form is built on first read."""
     nodes = _node_values(genus, degree, order)
     closed = _trimmed(_closed_form(order, nodes))
     chi = lagrange_interpolate(list(zip(range(-order, order + 2), nodes)))
@@ -393,10 +393,24 @@ def hilbert_function(inst: SecantInstance, twist: int) -> int:
     return _hilbert_value(inst.genus, inst.degree, inst.order, twist)
 
 
+def _chi_value(genus: int, degree: int, order: int, twist: int) -> int:
+    """chi(twist) of an admitted (g, d, k) at any integer twist: sum_m D_m
+    C(x, m) over chi's forward differences, x = twist + k, each binomial
+    from the one before by C(x, m+1) = C(x, m) (x - m) / (m+1), a division
+    exact for every integer x, negative ones too."""
+    first, differences = _chi(genus, degree, order)._differences
+    x = twist - first
+    value, binomial_m = 0, 1
+    for m, difference in enumerate(differences):
+        value += difference * binomial_m
+        binomial_m = binomial_m * (x - m) // (m + 1)
+    return value
+
+
 def _hilbert_value(genus: int, degree: int, order: int, twist: int) -> int:
     """chi(twist) of an admitted (g, d, k) at an admitted twist >= 1, the
     Hilbert function there, which must be positive."""
-    value = _chi(genus, degree, order)._at(twist)
+    value = _chi_value(genus, degree, order, twist)
     if value <= 0:
         raise InternalMismatch(f"chi({twist}) = {value} is not a positive integer")
     return value

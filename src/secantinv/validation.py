@@ -32,7 +32,9 @@ from .exactmath import (
     binomial,
     binomial_poly,
     finite_difference_numerator,
+    format_rational,
     lagrange_interpolate,
+    parse_rational,
 )
 from .secant_core import (
     SecantInstance,
@@ -86,28 +88,34 @@ def check_binomial_poly_agreement() -> Optional[str]:
     return None
 
 
+# Interpolation nodes: on chi's int route, and rational ones off it.
+_NODE_SETS = [
+    [(0, 1)],
+    [(0, 1), (1, 5)],
+    [(-1, 0), (0, 1), (1, 5), (2, 15)],
+    [(Fraction(-3, 2), Fraction(7, 5)), (0, -2), (Fraction(1, 3), 11), (4, 0)],
+    [(i, Fraction((-1) ** i, i + 1)) for i in range(7)],
+]
+
+
 def check_rational_normalization() -> Optional[str]:
-    samples = [
-        Fraction(3, 4) + Fraction(1, 4),
-        Fraction(10, 4) * Fraction(2, 5),
-        Fraction(-6, 8) - Fraction(1, 8),
-        Fraction(7, -3) / Fraction(14, 9),
-    ]
-    for q in samples:
-        assert q.denominator > 0
-        assert math.gcd(abs(q.numerator), q.denominator) == 1
+    """The wire strings of chi over a small grid and of the interpolants on
+    ``_NODE_SETS``: each parses back to its coefficient and prints as
+    itself, and a "p/q" has q > 1 and gcd(|p|, q) = 1."""
+    for poly in [*map(hilbert_polynomial, _grid(2, 2, 3)), *map(lagrange_interpolate, _NODE_SETS)]:
+        strings = poly.to_strings()
+        assert len(strings) == len(poly.coefficients), (poly, strings)
+        for text, coefficient in zip(strings, poly.coefficients):
+            assert parse_rational(text) == coefficient, (poly, text)
+            assert format_rational(coefficient) == text, (poly, text)
+            if "/" in text:
+                p, q = map(int, text.split("/"))
+                assert q > 1 and math.gcd(abs(p), q) == 1, (poly, text)
     return None
 
 
 def check_lagrange_exactness() -> Optional[str]:
-    node_sets = [
-        [(0, 1)],
-        [(0, 1), (1, 5)],
-        [(-1, 0), (0, 1), (1, 5), (2, 15)],
-        [(Fraction(-3, 2), Fraction(7, 5)), (0, -2), (Fraction(1, 3), 11), (4, 0)],
-        [(i, Fraction((-1) ** i, i + 1)) for i in range(7)],
-    ]
-    for nodes in node_sets:
+    for nodes in _NODE_SETS:
         poly = lagrange_interpolate(nodes)
         assert poly.degree <= len(nodes) - 1
         for x, y in nodes:

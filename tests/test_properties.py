@@ -24,6 +24,7 @@ from secantinv import (
     SecantInstance,
     binomial,
     canonical_h0,
+    coh_canonical_twist,
     cone_over_secant,
     finite_difference_numerator,
     generator_count,
@@ -319,9 +320,11 @@ def test_integer_form_matches_the_fraction_constructor(form, points):
 @checked
 @given(st.integers(0, 60), st.integers(0, 60), st.data())
 def test_difference_form_reads_like_its_certified_monomial_form(g, k, data):
-    """chi is held as its forward differences D_0..D_{2k+1} on -k..k+1 and
-    read from them as integers; its monomial form, certified when built,
-    must give the same values, degree and equality."""
+    """chi is held as its forward differences D_0..D_{2k+1} on -k..k+1, and
+    the engine reads its values from them as integers: hilbert_function at
+    positive twists, coh_canonical_twist (h^0 = -chi(-twist)) at negative
+    ones.  Its monomial form, certified when built, must give the same
+    values, and chi's degree, equality and values read that form."""
     import secantinv.secant_core as core
 
     lo = 2 * g + 2 * k + 1
@@ -341,6 +344,8 @@ def test_difference_form_reads_like_its_certified_monomial_form(g, k, data):
         assert read == value and type(read) is Fraction
         if t > 0:
             assert hilbert_function(inst, t) == value
+        elif t < 0:
+            assert -coh_canonical_twist(inst, -t, 0) == value
 
 
 def forward_differences(ys):

@@ -6,9 +6,9 @@ raises a :class:`SecantInvError` subclass when one integer argument of a
 valid call is pushed to +-10**4300, -1, 0 or one past its admission limit:
 never ``ValueError`` (a value too long to print), ``TypeError`` or
 ``RecursionError``, and never slowly.  The same argument set to a value that
-is not a whole number, ``Fraction(3, 2)`` or ``1.5``, is refused as a
-:class:`DomainError` that names it, and so is a fraction whose numerator or
-denominator has more than 4,300 digits.  A public callable with an integer
+is not an ``int``, ``Fraction(3, 2)``, ``1.5``, ``2.0``, ``Fraction(2, 1)`` or
+``True``, is refused as a :class:`DomainError` that names it, and so is a
+fraction whose numerator or denominator has more than 4,300 digits.  A public callable with an integer
 parameter that is neither walked nor named in ``EXEMPT`` fails the walk, so
 a new one cannot skip the contract.
 """
@@ -161,6 +161,11 @@ def test_value_or_refusal(name, argument, call, limit):
         assert seconds < TIME_BOUND, f"{name}({argument}={shown}) took {seconds:.2f} s"
 
 
+# Values that are not an int: two that are not whole numbers, and three whole
+# numbers of another type, which are refused alike.
+NOT_INT = [Fraction(3, 2), 1.5, 2.0, Fraction(2, 1), True]
+NOT_INT_IDS = ["Fraction(3, 2)", "1.5", "2.0", "Fraction(2, 1)", "True"]
+
 # Each call that takes a twist and evaluates chi at it, with the twist varied.
 TWIST_CALLS = {
     "hilbert_function": lambda v: hilbert_function(INST, v),
@@ -171,7 +176,7 @@ TWIST_CALLS = {
 }
 
 
-@pytest.mark.parametrize("twist", [Fraction(3, 2), 1.5], ids=["Fraction(3, 2)", "1.5"])
+@pytest.mark.parametrize("twist", NOT_INT, ids=NOT_INT_IDS)
 @pytest.mark.parametrize("name", TWIST_CALLS)
 def test_non_integer_twist_is_a_domain_error(name, twist):
     """A twist that is not an integer is the caller's error, refused before
@@ -189,11 +194,11 @@ def test_non_integer_twist_is_a_domain_error(name, twist):
 LABELS = {"i": "cohomological index"}
 
 
-@pytest.mark.parametrize("value", [Fraction(3, 2), 1.5], ids=["Fraction(3, 2)", "1.5"])
+@pytest.mark.parametrize("value", NOT_INT, ids=NOT_INT_IDS)
 @pytest.mark.parametrize("name, argument, call, limit", CALLS,
                          ids=[f"{name}-{argument}" for name, argument, *_ in CALLS])
 def test_non_integer_is_refused_by_name(name, argument, call, limit, value):
-    """An integer argument that is not a whole number is refused under the
+    """An integer argument that is not an ``int`` is refused under the
     argument's own name and value, not through a check of a value derived
     from it; node_values, a lookup, raises KeyError."""
     if name == "node_values":
